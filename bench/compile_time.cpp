@@ -7,7 +7,8 @@
 // is sparse in the operators that cause it, and Fourier-Motzkin is only
 // exponential in the number of *eliminated* symbols (typically one).
 // These benchmarks measure factorization wall time over growing summary
-// shapes and the FM eliminator over a growing number of bound symbols.
+// shapes, the FM eliminator over a growing number of bound symbols, and
+// cold prepare() of the suite's two costliest loops.
 //
 //===----------------------------------------------------------------------===//
 
@@ -15,10 +16,13 @@
 #include "fuzz/Generator.h"
 #include "pdag/FourierMotzkin.h"
 #include "session/Session.h"
+#include "suite/Suite.h"
 #include "summary/Independence.h"
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <cstdlib>
 #include <sstream>
 
 using namespace halo;
@@ -129,6 +133,48 @@ void BM_PrepareWarmStart(benchmark::State &State) {
   }
 }
 
+/// Cold prepare() of one suite loop with the probe bindings that
+/// bench::prepareBenchmark passes at Scale 8. Arg 0 is zeusmp
+/// TRANX2_do2100, the UMEG loop of Fig. 9(b) and the costliest loop of the
+/// suite's static phase; arg 1 is wupwise MULDEO_do200, the next costliest.
+/// Each iteration builds the SPEC2000 suite afresh (untimed), so nothing
+/// is interned in advance.
+void BM_PrepareSuiteLoop(benchmark::State &State) {
+  static const char *const Names[][2] = {{"zeusmp", "TRANX2_do2100"},
+                                         {"wupwise", "MULDEO_do200"}};
+  const char *BenchName = Names[State.range(0)][0];
+  const char *LoopName = Names[State.range(0)][1];
+  State.SetLabel(std::string(BenchName) + " " + LoopName);
+  for (auto _ : State) {
+    State.PauseTiming();
+    auto Bs = suite::buildSpec2000();
+    auto B = std::find_if(Bs.begin(), Bs.end(), [&](const auto &X) {
+      return X->Name == BenchName;
+    });
+    if (B == Bs.end())
+      std::abort();
+    auto LS = std::find_if((*B)->Loops.begin(), (*B)->Loops.end(),
+                           [&](const suite::LoopSpec &X) {
+                             return X.Name == LoopName;
+                           });
+    if (LS == (*B)->Loops.end())
+      std::abort();
+    rt::Memory M;
+    sym::Bindings Bd;
+    (*B)->Setup(M, Bd, 8);
+    analysis::AnalyzerOptions Opts;
+    Opts.Probe = &Bd;
+    Opts.HoistableContext = LS->Hoistable;
+    auto S = std::make_unique<session::Session>((*B)->prog(), (*B)->usr());
+    State.ResumeTiming();
+    benchmark::DoNotOptimize(&S->prepare(*LS->Loop, Opts));
+    State.PauseTiming();
+    S.reset();
+    Bs.clear();
+    State.ResumeTiming();
+  }
+}
+
 } // namespace
 
 BENCHMARK(BM_FactorGatedUnion)->RangeMultiplier(2)->Range(2, 64)->Complexity();
@@ -136,5 +182,6 @@ BENCHMARK(BM_FactorTriangularOInd);
 BENCHMARK(BM_FourierMotzkinSymbols)->DenseRange(1, 5)->Complexity();
 BENCHMARK(BM_PrepareColdFMHeavy)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_PrepareWarmStart)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_PrepareSuiteLoop)->DenseRange(0, 1)->Unit(benchmark::kMillisecond);
 
 BENCHMARK_MAIN();

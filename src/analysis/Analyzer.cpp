@@ -140,6 +140,11 @@ TestCascade HybridAnalyzer::makeCascade(const pdag::Pred *Pr) const {
   }
   // Complexity budget (Sec. 3.6): drop stages beyond the configured loop
   // depth; an empty cascade routes to the exact-test / TLS fallback.
+  // They are built and then dropped on purpose: the factorizer's node
+  // budget counts every node interned since it was created, so the nodes
+  // of these stages shape what the array's next cascades can afford.
+  // Building only up to MaxPredDepth changes zeusmp TRANX2_do2100's
+  // privatization cascades.
   // Also drop *vacuous* stages that only cover the empty-iteration-space
   // case (conjoining with `lo <= hi` folds them to false): they would
   // misreport the complexity of the first useful test.
@@ -392,11 +397,7 @@ LoopPlan HybridAnalyzer::analyze(const ir::DoLoop &Loop) {
       AnyRuntime |= AP.RRedDeployed;
     }
 
-    const factor::FactorStats &S = F.stats();
-    Accumulated.MonotonicityRule += S.MonotonicityRule;
-    Accumulated.InvariantOverRule += S.InvariantOverRule;
-    Accumulated.FourierMotzkinUses += S.FourierMotzkinUses;
-    Accumulated.FillsArrayRule += S.FillsArrayRule;
+    Accumulated += F.stats();
 
     // UMEG attribution: reshaping changed the flow USR, or the summaries
     // themselves carry a union of (>= 2) mutually exclusive gates whose

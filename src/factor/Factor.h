@@ -75,6 +75,22 @@ struct FactorStats {
   /// Times the factorization bailed out on an exhausted step or node
   /// budget (nonzero means some cascade stages degraded to `false`).
   uint64_t BudgetBailouts = 0;
+
+  FactorStats &operator+=(const FactorStats &O) {
+    GateRule += O.GateRule;
+    UnionRule += O.UnionRule;
+    SubtractRule += O.SubtractRule;
+    IntersectRule += O.IntersectRule;
+    RecurRule += O.RecurRule;
+    MonotonicityRule += O.MonotonicityRule;
+    InvariantOverRule += O.InvariantOverRule;
+    LmadDisjointRule += O.LmadDisjointRule;
+    LmadIncludedRule += O.LmadIncludedRule;
+    FillsArrayRule += O.FillsArrayRule;
+    FourierMotzkinUses += O.FourierMotzkinUses;
+    BudgetBailouts += O.BudgetBailouts;
+    return *this;
+  }
 };
 
 /// The factorization engine. One instance per analyzed loop/array; holds

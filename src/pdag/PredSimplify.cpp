@@ -8,8 +8,10 @@
 #include "pdag/PredSimplify.h"
 
 #include "support/Error.h"
+#include "support/Hashing.h"
 
 #include <algorithm>
+#include <map>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -22,6 +24,21 @@ class Simplifier {
 public:
   explicit Simplifier(PredContext &Ctx) : Ctx(Ctx) {}
 
+  /// simplify(): a global fixpoint over a few rounds. A rewrite is a pure
+  /// function of the interned node, so one memo serves every round (and
+  /// every stage of a cascade).
+  const Pred *run(const Pred *P) {
+    const Pred *R = visit(P);
+    for (int I = 0; I < 3; ++I) {
+      const Pred *Next = visit(R);
+      if (Next == R)
+        break;
+      R = Next;
+    }
+    return R;
+  }
+
+private:
   const Pred *visit(const Pred *P) {
     auto It = Memo.find(P);
     if (It != Memo.end())
@@ -38,7 +55,6 @@ public:
     return R;
   }
 
-private:
   const Pred *rewrite(const Pred *P) {
     switch (P->getKind()) {
     case PredKind::True:
@@ -151,99 +167,149 @@ private:
 /// depending on a "forbidden" (eliminated loop) variable become false, and
 /// LoopAll nodes beyond the depth budget dissolve into their bodies'
 /// invariant-sufficient parts.
-const Pred *strengthenImpl(PredContext &Ctx, const Pred *P, int Budget,
-                           std::vector<sym::SymbolId> &Forbidden) {
-  auto DependsOnForbidden = [&](const Pred *Q) {
+///
+/// The result at a node depends only on (node, remaining budget, forbidden
+/// set), so it is memoized on that triple: the factorizer's predicates
+/// share subterms heavily, and a tree walk over the shared DAG is
+/// exponential in its depth. One instance serves every depth of a cascade;
+/// a node reached at the same budget from two depths is strengthened once.
+class Strengthener {
+public:
+  explicit Strengthener(PredContext &Ctx) : Ctx(Ctx) {
+    SetIds.emplace(Forbidden, 0);
+  }
+
+  const Pred *run(const Pred *P, int MaxDepth) { return visit(P, MaxDepth); }
+
+private:
+  /// Forbidden sets are interned to small ids: a var is added only when
+  /// the budget is spent, so the set is empty whenever Budget > 0.
+  struct Key {
+    const Pred *P;
+    int Budget;
+    uint32_t Set;
+    bool operator==(const Key &O) const {
+      return P == O.P && Budget == O.Budget && Set == O.Set;
+    }
+  };
+  struct KeyHash {
+    size_t operator()(const Key &K) const {
+      size_t H = std::hash<const Pred *>{}(K.P);
+      hashCombine(H, static_cast<size_t>(K.Budget));
+      hashCombine(H, static_cast<size_t>(K.Set));
+      return H;
+    }
+  };
+
+  const Pred *visit(const Pred *P, int Budget) {
+    const Key K{P, Budget, CurSet};
+    auto It = Memo.find(K);
+    if (It != Memo.end())
+      return It->second;
+    const Pred *R = strengthen(P, Budget);
+    Memo.emplace(K, R);
+    return R;
+  }
+
+  bool dependsOnForbidden(const Pred *Q) const {
     for (sym::SymbolId S : Forbidden)
       if (Q->dependsOn(S))
         return true;
     return false;
-  };
-  switch (P->getKind()) {
-  case PredKind::True:
-  case PredKind::False:
-    return P;
-  case PredKind::Cmp:
-  case PredKind::Divides:
-    return DependsOnForbidden(P) ? Ctx.getFalse() : P;
-  case PredKind::And:
-  case PredKind::Or: {
-    const auto *N = cast<NaryPred>(P);
-    std::vector<const Pred *> Cs;
-    Cs.reserve(N->getChildren().size());
-    for (const Pred *C : N->getChildren())
-      Cs.push_back(strengthenImpl(Ctx, C, Budget, Forbidden));
-    return N->isAnd() ? Ctx.andN(std::move(Cs)) : Ctx.orN(std::move(Cs));
   }
-  case PredKind::LoopAll: {
-    const auto *L = cast<LoopAllPred>(P);
-    if (DependsOnForbidden(P))
-      return Ctx.getFalse(); // Bounds or body mention an eliminated var.
-    if (Budget > 0) {
-      const Pred *Body =
-          strengthenImpl(Ctx, L->getBody(), Budget - 1, Forbidden);
-      return Ctx.loopAll(L->getVar(), L->getLo(), L->getHi(), Body);
+
+  const Pred *strengthen(const Pred *P, int Budget) {
+    switch (P->getKind()) {
+    case PredKind::True:
+    case PredKind::False:
+      return P;
+    case PredKind::Cmp:
+    case PredKind::Divides:
+      return dependsOnForbidden(P) ? Ctx.getFalse() : P;
+    case PredKind::And:
+    case PredKind::Or: {
+      const auto *N = cast<NaryPred>(P);
+      std::vector<const Pred *> Cs;
+      Cs.reserve(N->getChildren().size());
+      for (const Pred *C : N->getChildren())
+        Cs.push_back(visit(C, Budget));
+      return N->isAnd() ? Ctx.andN(std::move(Cs)) : Ctx.orN(std::move(Cs));
     }
-    // No loop budget left: keep only the parts of the body that hold for
-    // every iteration because they do not mention the loop variable.
-    Forbidden.push_back(L->getVar());
-    const Pred *Body = strengthenImpl(Ctx, L->getBody(), 0, Forbidden);
-    Forbidden.pop_back();
-    return Body;
+    case PredKind::LoopAll: {
+      const auto *L = cast<LoopAllPred>(P);
+      if (dependsOnForbidden(P))
+        return Ctx.getFalse(); // Bounds or body mention an eliminated var.
+      if (Budget > 0) {
+        const Pred *Body = visit(L->getBody(), Budget - 1);
+        return Ctx.loopAll(L->getVar(), L->getLo(), L->getHi(), Body);
+      }
+      // No loop budget left: keep only the parts of the body that hold for
+      // every iteration because they do not mention the loop variable.
+      return visitForbidding(L->getVar(), L->getBody());
+    }
+    case PredKind::CallSite:
+      // Opaque: cannot be judged cheaper than its own evaluation.
+      return dependsOnForbidden(P)
+                 ? Ctx.getFalse()
+                 : visit(cast<CallSitePred>(P)->getBody(), Budget);
+    }
+    halo_unreachable("covered switch");
   }
-  case PredKind::CallSite:
-    // Opaque: cannot be judged cheaper than its own evaluation.
-    return DependsOnForbidden(P) ? Ctx.getFalse()
-                                 : strengthenImpl(Ctx,
-                                                  cast<CallSitePred>(P)
-                                                      ->getBody(),
-                                                  Budget, Forbidden);
+
+  /// Strengthens \p Body at budget 0 with \p Var added to the forbidden
+  /// set.
+  const Pred *visitForbidding(sym::SymbolId Var, const Pred *Body) {
+    const std::vector<sym::SymbolId> Saved = Forbidden;
+    const uint32_t SavedSet = CurSet;
+    auto Pos = std::lower_bound(Forbidden.begin(), Forbidden.end(), Var);
+    if (Pos == Forbidden.end() || *Pos != Var) {
+      Forbidden.insert(Pos, Var);
+      CurSet = SetIds.emplace(Forbidden, SetIds.size()).first->second;
+    }
+    const Pred *R = visit(Body, 0);
+    Forbidden = Saved;
+    CurSet = SavedSet;
+    return R;
   }
-  halo_unreachable("covered switch");
-}
+
+  PredContext &Ctx;
+  /// The current forbidden set, sorted, and its interned id.
+  std::vector<sym::SymbolId> Forbidden;
+  uint32_t CurSet = 0;
+  std::map<std::vector<sym::SymbolId>, uint32_t> SetIds;
+  std::unordered_map<Key, const Pred *, KeyHash> Memo;
+};
 
 } // namespace
 
 const Pred *pdag::simplify(PredContext &Ctx, const Pred *P) {
-  Simplifier S(Ctx);
-  const Pred *R = S.visit(P);
-  // Global fixpoint over a few rounds; each round is memoized separately.
-  for (int I = 0; I < 3; ++I) {
-    Simplifier S2(Ctx);
-    const Pred *Next = S2.visit(R);
-    if (Next == R)
-      break;
-    R = Next;
-  }
-  return R;
+  return Simplifier(Ctx).run(P);
 }
 
 const Pred *pdag::strengthenToDepth(PredContext &Ctx, const Pred *P,
                                     int MaxDepth) {
-  std::vector<sym::SymbolId> Forbidden;
-  return simplify(Ctx, strengthenImpl(Ctx, P, MaxDepth, Forbidden));
+  return simplify(Ctx, Strengthener(Ctx).run(P, MaxDepth));
 }
 
-std::vector<CascadeStage> pdag::buildCascade(PredContext &Ctx, const Pred *P) {
-  const Pred *Full = simplify(Ctx, P);
+std::vector<CascadeStage> pdag::buildCascade(PredContext &Ctx,
+                                             const Pred *Full) {
   std::vector<CascadeStage> Stages;
   if (Full->isFalse())
     return Stages;
 
+  // One memo of each kind spans every depth: the stages are strengthenings
+  // of the same DAG and share most of their subterms.
+  Strengthener St(Ctx);
+  Simplifier Simp(Ctx);
   for (int Depth = 0; Depth < Full->loopDepth(); ++Depth) {
-    const Pred *Stage = strengthenToDepth(Ctx, Full, Depth);
+    const Pred *Stage = Simp.run(St.run(Full, Depth));
     if (Stage->isFalse())
       continue;
     // Skip stages identical to an already-emitted cheaper stage.
-    bool Dup = false;
-    for (const CascadeStage &S : Stages)
-      if (S.P == Stage)
-        Dup = true;
-    if (Dup)
+    if (std::any_of(Stages.begin(), Stages.end(),
+                    [Stage](const CascadeStage &S) { return S.P == Stage; }))
       continue;
     Stages.push_back(CascadeStage{Stage, Stage->loopDepth()});
-    if (Stage == Full)
-      return Stages; // The full test already surfaced early.
   }
   Stages.push_back(CascadeStage{Full, Full->loopDepth()});
   return Stages;

@@ -53,11 +53,18 @@ struct CascadeStage {
   int Depth = 0;
 };
 
-/// Builds the cascade of sufficient independence conditions for \p P,
-/// ordered by increasing complexity; the last stage is \p P itself. Stages
-/// that fold to false or duplicate a cheaper stage are dropped. An empty
-/// result means \p P is the false predicate.
-std::vector<CascadeStage> buildCascade(PredContext &Ctx, const Pred *P);
+/// Builds the cascade of sufficient independence conditions for \p Full,
+/// ordered by increasing complexity; the last stage is \p Full itself.
+/// Stages that fold to false or duplicate a cheaper stage are dropped. An
+/// empty result means \p Full is the false predicate. \p Full must be the
+/// output of simplify(), which the caller needs anyway to tell a
+/// statically true or false predicate.
+///
+/// Cost: strengthening and simplification are memoized on interned
+/// identity across all depths, so each DAG node is visited once per
+/// (remaining budget, set of eliminated loop variables) it is reached
+/// with: linear in the DAG size for each depth, not in its tree size.
+std::vector<CascadeStage> buildCascade(PredContext &Ctx, const Pred *Full);
 
 } // namespace pdag
 } // namespace halo

@@ -6,6 +6,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "analysis/Analyzer.h"
+#include "suite/Suite.h"
 
 #include <gtest/gtest.h>
 
@@ -223,6 +224,32 @@ TEST_F(AnalysisTest, AssumedSizeReductionTriggersBoundsComp) {
     }
   EXPECT_TRUE(Found);
   EXPECT_EQ(Plan.classString().substr(0, 11), "BOUNDS-COMP");
+}
+
+TEST(AnalysisSuiteTest, FactorStatsCountEveryRule) {
+  // zeusmp TRANX2_do2100 is the paper's UMEG loop (Fig. 9b): its gated
+  // then/else writes factor through the gate rule. The per-loop stats sum
+  // every FactorStats field over the loop's arrays, not a subset.
+  auto Bs = suite::buildSpec2000();
+  for (auto &B : Bs) {
+    if (B->Name != "zeusmp")
+      continue;
+    for (const suite::LoopSpec &LS : B->Loops) {
+      if (LS.Name != "TRANX2_do2100")
+        continue;
+      rt::Memory M;
+      sym::Bindings Bd;
+      B->Setup(M, Bd, 1);
+      AnalyzerOptions Opts;
+      Opts.Probe = &Bd;
+      HybridAnalyzer A(B->usr(), B->prog(), Opts);
+      LoopPlan Plan = A.analyze(*LS.Loop);
+      EXPECT_EQ(Plan.classString(), "F/OI O(1)/O(1)");
+      EXPECT_GT(A.lastFactorStats().GateRule, 0u);
+      return;
+    }
+  }
+  FAIL() << "zeusmp TRANX2_do2100 not found";
 }
 
 TEST_F(AnalysisTest, TechniqueStringOrdering) {

@@ -141,7 +141,7 @@ TEST_P(FactorSoundness, FactorSurvivesSimplifyAndCascade) {
     const USR *S = randomUSR(R, 3, 0);
     Factorizer F(U);
     const Pred *Pr = F.factor(S);
-    auto Stages = pdag::buildCascade(P, Pr);
+    auto Stages = pdag::buildCascade(P, pdag::simplify(P, Pr));
     for (int BTrial = 0; BTrial < 8; ++BTrial) {
       sym::Bindings B = randomBindings(R);
       for (const auto &St : Stages) {

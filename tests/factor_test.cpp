@@ -192,7 +192,7 @@ TEST_F(FactorTest, MonotonicityPredicateIsLinearCost) {
   const USR *Prev = U.recur(K, c(1), Sym.addConst(Sym.symRef(I), -1), WF(K));
   const USR *OInd = U.recur(I, c(1), s("N"), U.intersect(WF(I), Prev));
   const Pred *Pr = F.factor(OInd);
-  auto Stages = pdag::buildCascade(P, Pr);
+  auto Stages = pdag::buildCascade(P, pdag::simplify(P, Pr));
   ASSERT_FALSE(Stages.empty());
   bool HasLinearStage = false;
   for (const auto &St : Stages)

@@ -149,7 +149,7 @@ TEST_F(PdagSimplifyTest, CascadeOrderedByComplexity) {
   const Pred *Inv = P.lt(Sym.mulConst(s("NP"), 8), Sym.addConst(s("NS"), 6));
   const Pred *Var = P.ge0(Sym.arrayRef(IB, Sym.symRef(I)));
   const Pred *In = P.loopAll(I, c(1), s("N"), P.or2(Inv, Var));
-  auto Stages = buildCascade(P, In);
+  auto Stages = buildCascade(P, simplify(P, In));
   ASSERT_GE(Stages.size(), 2u);
   for (size_t J = 1; J < Stages.size(); ++J)
     EXPECT_LT(Stages[J - 1].Depth, Stages[J].Depth);
@@ -162,9 +162,42 @@ TEST_F(PdagSimplifyTest, CascadeOfFalseIsEmpty) {
 
 TEST_F(PdagSimplifyTest, CascadeOfO1PredicateIsSingleStage) {
   const Pred *L = P.le(s("a"), s("b"));
-  auto Stages = buildCascade(P, L);
+  auto Stages = buildCascade(P, simplify(P, L));
   ASSERT_EQ(Stages.size(), 1u);
   EXPECT_EQ(Stages[0].P, L);
+}
+
+TEST_F(PdagSimplifyTest, SharedDagStrengthensInLinearTime) {
+  // A 48-level ladder under ALL_i ALL_j: every level references both nodes
+  // of the level below twice, so the DAG has ~100 nodes but 2^48 tree
+  // paths. A tree walk would not return; the memoized walk is linear.
+  // Common-factor extraction finds no shared child within one level, so
+  // simplify keeps the ladder and buildCascade walks it too.
+  sym::SymbolId I = Sym.symbol("i", 1);
+  sym::SymbolId J = Sym.symbol("j", 2);
+  sym::SymbolId IB = Sym.symbol("IB", 0, true);
+  const sym::Expr *Iv = Sym.symRef(I);
+  const sym::Expr *Jv = Sym.symRef(J);
+  const Pred *X = P.ge0(Sym.arrayRef(IB, Jv));
+  const Pred *Y = P.ne(Sym.add(Iv, Jv), s("m"));
+  for (int K = 0; K < 48; ++K) {
+    const Pred *A = P.le(Iv, Sym.addConst(s("a"), K));   // Varies with i.
+    const Pred *B = P.le(s("b"), Sym.addConst(Jv, K));   // Varies with j.
+    const Pred *C = P.ge0(Sym.addConst(s("c"), K));      // Invariant.
+    const Pred *D = P.le(Sym.arrayRef(IB, Iv), c(K));    // Varies with i.
+    const Pred *NextX = P.or2(P.and2(X, A), P.and2(Y, B));
+    Y = P.or2(P.and2(X, C), P.and2(Y, D));
+    X = NextX;
+  }
+  const Pred *In =
+      P.loopAll(I, c(1), s("N"), P.loopAll(J, c(1), s("M"), P.or2(X, Y)));
+  ASSERT_EQ(In->loopDepth(), 2);
+  for (int Depth = 0; Depth <= 2; ++Depth)
+    EXPECT_LE(strengthenToDepth(P, In, Depth)->loopDepth(), Depth);
+  const Pred *Full = simplify(P, In);
+  auto Stages = buildCascade(P, Full);
+  ASSERT_FALSE(Stages.empty());
+  EXPECT_EQ(Stages.back().P, Full);
 }
 
 //===----------------------------------------------------------------------===//
@@ -178,7 +211,10 @@ protected:
   PredContext P;
 
   /// Builds a random predicate over scalars a,b,c, array IB and loop vars.
-  const Pred *randomPred(Rng &R, int Depth, int LoopDepth) {
+  /// Leaves index IB by the innermost loop variable, or by any enclosing
+  /// one when \p AnyLoopVar is set.
+  const Pred *randomPred(Rng &R, int Depth, int LoopDepth,
+                         bool AnyLoopVar = false) {
     if (Depth <= 0 || R.chance(1, 3)) {
       // Leaf: a random linear comparison.
       const sym::Expr *E = Sym.intConst(R.nextInRange(-3, 3));
@@ -189,7 +225,10 @@ protected:
                                       R.nextInRange(-2, 2)));
       if (LoopDepth > 0 && R.chance(1, 2)) {
         sym::SymbolId IB = Sym.symbol("IB", 0, true);
-        E = Sym.add(E, Sym.arrayRef(IB, Sym.symRef(loopVar(LoopDepth))));
+        int VarDepth =
+            AnyLoopVar ? static_cast<int>(R.nextInRange(1, LoopDepth))
+                       : LoopDepth;
+        E = Sym.add(E, Sym.arrayRef(IB, Sym.symRef(loopVar(VarDepth))));
       }
       switch (R.nextBelow(3)) {
       case 0:
@@ -202,15 +241,15 @@ protected:
     }
     switch (R.nextBelow(3)) {
     case 0:
-      return P.and2(randomPred(R, Depth - 1, LoopDepth),
-                    randomPred(R, Depth - 1, LoopDepth));
+      return P.and2(randomPred(R, Depth - 1, LoopDepth, AnyLoopVar),
+                    randomPred(R, Depth - 1, LoopDepth, AnyLoopVar));
     case 1:
-      return P.or2(randomPred(R, Depth - 1, LoopDepth),
-                   randomPred(R, Depth - 1, LoopDepth));
+      return P.or2(randomPred(R, Depth - 1, LoopDepth, AnyLoopVar),
+                   randomPred(R, Depth - 1, LoopDepth, AnyLoopVar));
     default: {
       sym::SymbolId V = loopVar(LoopDepth + 1);
       return P.loopAll(V, Sym.intConst(1), Sym.symRef("n"),
-                       randomPred(R, Depth - 1, LoopDepth + 1));
+                       randomPred(R, Depth - 1, LoopDepth + 1, AnyLoopVar));
     }
     }
   }
@@ -269,7 +308,7 @@ TEST_P(PdagPropertyTest, StrengthenImpliesInput) {
 TEST_P(PdagPropertyTest, CascadeStagesImplyFullPredicate) {
   Rng R(GetParam() ^ 0x1234567);
   const Pred *In = randomPred(R, 4, 0);
-  auto Stages = buildCascade(P, In);
+  auto Stages = buildCascade(P, simplify(P, In));
   for (const CascadeStage &S : Stages) {
     for (int Trial = 0; Trial < 10; ++Trial) {
       sym::Bindings B = randomBindings(R);
@@ -277,6 +316,111 @@ TEST_P(PdagPropertyTest, CascadeStagesImplyFullPredicate) {
       auto VI = tryEvalPred(In, B);
       if (VS && VI && *VS)
         EXPECT_TRUE(*VI);
+    }
+  }
+}
+
+/// The unmemoized strengthening buildCascade used before it memoized on
+/// interned identity: a tree walk over the DAG. Kept as the reference the
+/// memoized walk must reproduce pointer for pointer.
+const Pred *referenceStrengthen(PredContext &Ctx, const Pred *P, int Budget,
+                                std::vector<sym::SymbolId> &Forbidden) {
+  auto DependsOnForbidden = [&](const Pred *Q) {
+    for (sym::SymbolId S : Forbidden)
+      if (Q->dependsOn(S))
+        return true;
+    return false;
+  };
+  switch (P->getKind()) {
+  case PredKind::True:
+  case PredKind::False:
+    return P;
+  case PredKind::Cmp:
+  case PredKind::Divides:
+    return DependsOnForbidden(P) ? Ctx.getFalse() : P;
+  case PredKind::And:
+  case PredKind::Or: {
+    const auto *N = cast<NaryPred>(P);
+    std::vector<const Pred *> Cs;
+    for (const Pred *C : N->getChildren())
+      Cs.push_back(referenceStrengthen(Ctx, C, Budget, Forbidden));
+    return N->isAnd() ? Ctx.andN(std::move(Cs)) : Ctx.orN(std::move(Cs));
+  }
+  case PredKind::LoopAll: {
+    const auto *L = cast<LoopAllPred>(P);
+    if (DependsOnForbidden(P))
+      return Ctx.getFalse();
+    if (Budget > 0)
+      return Ctx.loopAll(
+          L->getVar(), L->getLo(), L->getHi(),
+          referenceStrengthen(Ctx, L->getBody(), Budget - 1, Forbidden));
+    Forbidden.push_back(L->getVar());
+    const Pred *Body = referenceStrengthen(Ctx, L->getBody(), 0, Forbidden);
+    Forbidden.pop_back();
+    return Body;
+  }
+  case PredKind::CallSite:
+    return DependsOnForbidden(P)
+               ? Ctx.getFalse()
+               : referenceStrengthen(Ctx, cast<CallSitePred>(P)->getBody(),
+                                     Budget, Forbidden);
+  }
+  return nullptr;
+}
+
+/// The cascade construction that went with referenceStrengthen: it
+/// simplified its input itself and strengthened each depth from scratch.
+std::vector<CascadeStage> referenceCascade(PredContext &Ctx, const Pred *P) {
+  const Pred *Full = simplify(Ctx, P);
+  std::vector<CascadeStage> Stages;
+  if (Full->isFalse())
+    return Stages;
+  for (int Depth = 0; Depth < Full->loopDepth(); ++Depth) {
+    std::vector<sym::SymbolId> Forbidden;
+    const Pred *Stage =
+        simplify(Ctx, referenceStrengthen(Ctx, Full, Depth, Forbidden));
+    if (Stage->isFalse())
+      continue;
+    bool Dup = false;
+    for (const CascadeStage &S : Stages)
+      Dup |= S.P == Stage;
+    if (Dup)
+      continue;
+    Stages.push_back(CascadeStage{Stage, Stage->loopDepth()});
+    if (Stage == Full)
+      return Stages;
+  }
+  Stages.push_back(CascadeStage{Full, Full->loopDepth()});
+  return Stages;
+}
+
+TEST_P(PdagPropertyTest, MemoizedStrengtheningMatchesTreeWalk) {
+  Rng R(GetParam() ^ 0x5eed5eed);
+  for (int Trial = 0; Trial < 6; ++Trial) {
+    // Plain random trees, then shapes that reuse one subterm under
+    // several loops: the memo must tell apart the sets of eliminated
+    // loop variables a shared node is reached with.
+    const Pred *In = randomPred(R, 4 + Trial % 2, 0, /*AnyLoopVar=*/true);
+    if (Trial >= 2) {
+      const Pred *S = randomPred(R, 3, 2, /*AnyLoopVar=*/true);
+      const Pred *Inner =
+          P.loopAll(loopVar(2), Sym.intConst(1), Sym.symRef("m"),
+                    P.or2(S, randomPred(R, 2, 2, /*AnyLoopVar=*/true)));
+      In = P.loopAll(loopVar(1), Sym.intConst(1), Sym.symRef("n"),
+                     P.and2(P.or2(Inner, In), P.or2(S, Inner)));
+    }
+    for (int Depth = 0; Depth <= 2; ++Depth) {
+      std::vector<sym::SymbolId> Forbidden;
+      EXPECT_EQ(strengthenToDepth(P, In, Depth),
+                simplify(P, referenceStrengthen(P, In, Depth, Forbidden)))
+          << "depth " << Depth << "\nin: " << In->toString(Sym);
+    }
+    auto Got = buildCascade(P, simplify(P, In));
+    auto Want = referenceCascade(P, In);
+    ASSERT_EQ(Got.size(), Want.size()) << "in: " << In->toString(Sym);
+    for (size_t K = 0; K < Got.size(); ++K) {
+      EXPECT_EQ(Got[K].P, Want[K].P) << "stage " << K;
+      EXPECT_EQ(Got[K].Depth, Want[K].Depth) << "stage " << K;
     }
   }
 }
