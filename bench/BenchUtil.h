@@ -34,12 +34,20 @@ inline double nowSeconds() {
 /// One benchmark's timing under a given thread count and analyzer options.
 struct BenchTiming {
   double SeqSeconds = 0;       ///< All loops, sequential interpretation.
-  double ParSeconds = 0;       ///< All loops under their plans.
+  /// All loops under their plans: the best pass after the first (the
+  /// steady state), or the only pass.
+  double ParSeconds = 0;
   double TestOverheadSec = 0;  ///< Predicate + CIV + bounds + exact time.
+  /// The first parallel repetition alone: every loop's first execution,
+  /// so every memoizable runtime test misses the TestMemo and runs.
+  double FirstParSeconds = 0;
+  double FirstTestOverheadSec = 0;
   bool AnyTLS = false;
+  /// TestMemo outcomes over every parallel repetition.
+  uint64_t TestMemoHits = 0;
+  uint64_t TestMemoMisses = 0;
   /// Cascade evaluation counters from the best parallel repetition (the
-  /// compiled/interpreted split and the invariant-memoization win).
-  uint64_t PredMemoHits = 0;
+  /// compiled/interpreted split).
   uint64_t CompiledPredEvals = 0;
   uint64_t InterpPredEvals = 0;
   /// Frame-pool effectiveness across the best repetition.
@@ -118,14 +126,13 @@ inline BenchTiming timeBenchmark(suite::Benchmark &B, unsigned Threads,
       double T0 = nowSeconds();
       double Ov = 0;
       bool TLS = false;
-      uint64_t Memo = 0, Compiled = 0, Interp = 0, Binds = 0, Skips = 0;
+      uint64_t Compiled = 0, Interp = 0, Binds = 0, Skips = 0;
       uint64_t UsrC = 0, UsrI = 0, UsrAvoided = 0;
       for (const suite::LoopSpec &LS : B.Loops) {
         rt::ExecStats St = S.run(*LS.Loop, M, Bd);
         Ov += St.PredicateSeconds + St.CivSliceSeconds +
               St.ExactTestSeconds + St.BoundsCompSeconds;
         TLS |= St.UsedTLS;
-        Memo += St.PredMemoHits;
         Compiled += St.CompiledPredEvals;
         Interp += St.InterpPredEvals;
         Binds += St.FrameBinds;
@@ -133,12 +140,19 @@ inline BenchTiming timeBenchmark(suite::Benchmark &B, unsigned Threads,
         UsrC += St.CompiledUSREvals;
         UsrI += St.InterpUSREvals;
         UsrAvoided += St.USRPointsAvoided;
+        Out.TestMemoHits += St.TestMemoHits;
+        Out.TestMemoMisses += St.TestMemoMisses;
       }
       double T = nowSeconds() - T0;
-      if (T < ParBest) {
+      if (R == 0) {
+        Out.FirstParSeconds = T;
+        Out.FirstTestOverheadSec = Ov;
+      }
+      // The best parallel pass is the steady state: with more than one
+      // pass, the first (all TestMemo misses) is reported on its own.
+      if (T < ParBest && (R > 0 || Repeats == 1)) {
         ParBest = T;
         OvAtBest = Ov;
-        Out.PredMemoHits = Memo;
         Out.CompiledPredEvals = Compiled;
         Out.InterpPredEvals = Interp;
         Out.FrameBinds = Binds;

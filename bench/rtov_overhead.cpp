@@ -13,11 +13,16 @@
 //     compile-once/run-many win;
 //  2. the analyze-once / execute-many benchmark: the same plan executed
 //     repeatedly through halo::Session, reporting 1st-execution vs
-//     steady-state per-execution predicate overhead (frame binding and
-//     cascade sorting amortize away) with exact result parity against the
-//     reference interpreter path;
-//  3. the per-benchmark RTov table, reported for both evaluators so the
-//     compiled/interpreted split is visible end to end.
+//     steady-state per-execution predicate overhead (the steady state is
+//     a TestMemo hit: the cascades of unchanged inputs are not evaluated
+//     again) with exact result parity against the reference interpreter
+//     path;
+//  3. the per-benchmark RTov table: steady state (the best of three
+//     passes, whose runtime tests are TestMemo hits from the second pass
+//     on) beside the first pass (every memoizable test misses and runs:
+//     the cost a loop whose inputs change on every invocation pays, e.g.
+//     track), the latter for both evaluators so the compiled/interpreted
+//     split stays visible end to end.
 //===----------------------------------------------------------------------===//
 #include "bench/BenchUtil.h"
 
@@ -27,6 +32,7 @@
 #include "usr/USREval.h"
 
 #include <algorithm>
+#include <thread>
 #include <utility>
 
 using namespace halo;
@@ -281,10 +287,12 @@ struct ReuseFixture {
 };
 
 /// Per-execution predicate overhead of the 1st vs steady-state execution
-/// of one cached plan. The 1st execution of a fresh session pays frame
-/// binding (and worker-frame copies under a multi-thread pool); from the
-/// 2nd on, the bindings stamp is unchanged, so the pooled frames are
-/// reused without any re-binding.
+/// of one cached plan. The 1st execution of a fresh session evaluates
+/// every cascade stage and pays frame binding (and worker-frame copies
+/// under a multi-thread pool); from the 2nd on, the bindings are
+/// unchanged, so the prepared loop's TestMemo answers with the first
+/// execution's verdict and no stage is evaluated (binds and reuses read
+/// 0).
 void sessionReuseBench() {
   ReuseFixture F;
   const int KFresh = 50;   // Fresh sessions averaged for the 1st-exec column.
@@ -513,9 +521,9 @@ int main() {
   usrGateSweepBench();
 
   std::printf("=== Runtime-test overhead (RTov, %% of parallel runtime) ===\n");
-  std::printf("%-12s %-10s %-10s %-12s %-10s %-6s %-6s %-12s %s\n", "BENCH",
-              "RTov%", "interpRTov%", "paper-RTov%", "memo-hits", "usrC",
-              "usrI", "usr-avoided", "NOTE");
+  std::printf("%-12s %-10s %-10s %-11s %-12s %-10s %-6s %-6s %-12s %s\n",
+              "BENCH", "RTov%", "1stRTov%", "interp1st%", "paper-RTov%",
+              "test-memo", "usrC", "usrI", "usr-avoided", "NOTE");
   const std::map<std::string, const char *> PaperRTov = {
       {"flo52", "0%"},   {"bdna", "0%"},     {"arc2d", ".2%"},
       {"dyfesm", ".3%"}, {"mdg", "0%"},      {"trfd", "0%"},
@@ -524,6 +532,7 @@ int main() {
       {"apsi", ".2%"},   {"zeusmp", ".01%"}, {"gromacs", "3.4%"},
       {"calculix", "8.5%"}};
   auto Benches = suite::buildAllBenchmarks();
+  uint64_t MemoHits = 0, MemoMisses = 0;
   for (auto &B : Benches) {
     auto It = PaperRTov.find(B->Name);
     if (It == PaperRTov.end())
@@ -535,16 +544,26 @@ int main() {
     // vice versa.
     if (T.InterpUSREvals != 0 || TI.CompiledUSREvals != 0)
       std::abort();
-    std::printf("%-12s %-10.2f %-10.2f %-12s %-10llu %-6llu %-6llu %-12llu "
-                "%s\n",
-                B->Name.c_str(), 100.0 * T.TestOverheadSec / T.ParSeconds,
-                100.0 * TI.TestOverheadSec / TI.ParSeconds, It->second,
-                static_cast<unsigned long long>(T.PredMemoHits),
+    double Steady = 100.0 * T.TestOverheadSec / T.ParSeconds;
+    double First = 100.0 * T.FirstTestOverheadSec / T.FirstParSeconds;
+    double InterpFirst = 100.0 * TI.FirstTestOverheadSec / TI.FirstParSeconds;
+    MemoHits += T.TestMemoHits;
+    MemoMisses += T.TestMemoMisses;
+    std::printf("%-12s %-10.2f %-10.2f %-11.2f %-12s %-10llu %-6llu %-6llu "
+                "%-12llu %s\n",
+                B->Name.c_str(), Steady, First, InterpFirst, It->second,
+                static_cast<unsigned long long>(T.TestMemoHits),
                 static_cast<unsigned long long>(T.CompiledUSREvals),
                 static_cast<unsigned long long>(TI.InterpUSREvals),
                 static_cast<unsigned long long>(T.USRPointsAvoided),
                 T.AnyTLS ? "TLS used" : "");
+    GJson["rtov_steady_pct"][B->Name] = Steady;
+    GJson["rtov_first_pct"][B->Name] = First;
+    GJson["rtov_interp_first_pct"][B->Name] = InterpFirst;
   }
+  GJson["env"]["nproc"] = std::thread::hardware_concurrency();
+  GJson["rtov_test_memo"]["hits"] = static_cast<double>(MemoHits);
+  GJson["rtov_test_memo"]["misses"] = static_cast<double>(MemoMisses);
   writeJson("BENCH_rtov.json");
   return 0;
 }

@@ -146,18 +146,6 @@ std::optional<bool> HoistCache::emptiness(const usr::USR *S,
 // Planned execution (the governor)
 //===----------------------------------------------------------------------===//
 
-namespace {
-
-/// Runtime decision for one array.
-struct ArrayDecision {
-  bool Privatize = false;
-  bool UseSLV = false;
-  bool UseDLV = false;
-  bool ReductionPrivate = false;
-};
-
-} // namespace
-
 int Executor::runCascade(const TestCascade &C, const CompiledCascade *Pre,
                          sym::Bindings &B, ThreadPool &Pool,
                          ExecStats &Stats, FramePool *Frames,
@@ -241,45 +229,93 @@ int Executor::runCascade(const TestCascade &C, const CompiledCascade *Pre,
   return -2;
 }
 
-ExecStats Executor::runPlanned(const LoopPlan &Plan, Memory &M,
-                               sym::Bindings &B, ThreadPool &Pool,
-                               HoistCache *Hoist, const PlanCascades *Pre,
-                               ExecContext *Ctx,
-                               USRCompileCache *UsrCompile) {
-  assert((!Pre || Pre->Arrays.size() == Plan.Arrays.size()) &&
-         "plan cascades must be built from this plan");
-  support::faultAt("rt.exec");
+//===----------------------------------------------------------------------===//
+// TestMemo
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// True when \p Id is one of the plan's CIV pseudo-arrays (outputs of
+/// the CIV slice, never inputs of a test).
+bool isCivOutput(const summary::CivPlan &Civ, SymbolId Id) {
+  for (const summary::CivDesc &D : Civ.Civs)
+    if (D.EntryArr == Id)
+      return true;
+  for (const summary::CivJoin &J : Civ.Joins)
+    if (J.JoinArr == Id)
+      return true;
+  return false;
+}
+
+} // namespace
+
+std::shared_ptr<TestMemo::Entry>
+TestMemo::capture(const sym::Bindings &B, const summary::CivPlan &Civ) {
+  auto E = std::make_shared<Entry>();
+  E->Scalars.reserve(B.numScalars());
+  B.forEachScalar(
+      [&](SymbolId Id, int64_t V) { E->Scalars.emplace_back(Id, V); });
+  E->Arrays.reserve(B.numArrays());
+  B.forEachArray(
+      [&](SymbolId Id, const std::shared_ptr<const sym::ArrayBinding> &A) {
+        if (!isCivOutput(Civ, Id))
+          E->Arrays.emplace_back(Id, A);
+      });
+  return E;
+}
+
+bool TestMemo::Entry::matches(const sym::Bindings &B,
+                              const summary::CivPlan &Civ) const {
+  if (B.numScalars() != Scalars.size())
+    return false;
+  for (const auto &KV : Scalars) {
+    std::optional<int64_t> V = B.scalar(KV.first);
+    if (!V || *V != KV.second)
+      return false;
+  }
+  // Same array count once the CIV outputs bound in B are left out; with
+  // every key array present that makes the two sets equal.
+  size_t NArr = 0;
+  B.forEachArray(
+      [&](SymbolId Id, const auto &) { NArr += !isCivOutput(Civ, Id); });
+  if (NArr != Arrays.size())
+    return false;
+  for (const auto &KV : Arrays) {
+    const sym::ArrayBinding *A = B.array(KV.first);
+    if (!A)
+      return false;
+    if (A != KV.second.get() &&
+        (A->Lo != KV.second->Lo || A->Vals != KV.second->Vals))
+      return false;
+  }
+  return true;
+}
+
+std::shared_ptr<const TestMemo::Entry>
+TestMemo::lookup(const sym::Bindings &B, const summary::CivPlan &Civ) const {
+  std::shared_ptr<const Entry> E = current();
+  // Compared outside the lock: the entry is immutable once published.
+  return E && E->matches(B, Civ) ? E : nullptr;
+}
+
+void TestMemo::publish(std::shared_ptr<const Entry> E) {
+  support::MutexLock L(M);
+  Slot = std::move(E); // Most recent inputs win the slot.
+}
+
+//===----------------------------------------------------------------------===//
+// Planned execution (the governor)
+//===----------------------------------------------------------------------===//
+
+bool Executor::runTests(const LoopPlan &Plan, Memory &M, sym::Bindings &B,
+                        ThreadPool &Pool, HoistCache *Hoist,
+                        const PlanCascades *Pre, ExecContext *Ctx,
+                        USRCompileCache *UsrCompile, ExecStats &Stats,
+                        TestVerdict &Verdict) {
   FramePool *Frames = Ctx ? &Ctx->Frames : nullptr;
   USRFramePool *UsrFrames = Ctx ? &Ctx->UsrFrames : nullptr;
   const support::CancelToken *Cancel = Ctx ? Ctx->Cancel : nullptr;
-  ExecStats Stats;
-  double T0 = nowSeconds();
   const DoLoop &Loop = *Plan.Loop;
-
-  // Classifies a fired token into the stats and finalizes timing. Every
-  // abort below fires *between* units of work: either nothing ran yet, or
-  // only complete phases (CIV slice, decided predicates) ran — the
-  // caller's Memory is never left mid-loop-body.
-  auto finishAborted = [&]() -> ExecStats {
-    Stats.Aborted =
-        Cancel->state() == support::CancelToken::State::Expired
-            ? ExecStats::AbortReason::Expired
-            : ExecStats::AbortReason::Cancelled;
-    Stats.TotalSeconds = nowSeconds() - T0;
-    return Stats;
-  };
-  if (support::stopRequested(Cancel))
-    return finishAborted();
-
-  // Loops proven dependent (or abandoned by the static-only baseline)
-  // execute sequentially without any dynamic machinery.
-  if (Plan.Class == analysis::LoopClass::StaticSeq ||
-      (!Plan.RuntimeTestsEnabled &&
-       Plan.Class != analysis::LoopClass::StaticPar)) {
-    interpSequential(Loop, M, B);
-    Stats.TotalSeconds = nowSeconds() - T0;
-    return Stats;
-  }
 
   // CIV-COMP.
   if (!Plan.Civ.empty()) {
@@ -289,8 +325,6 @@ ExecStats Executor::runPlanned(const LoopPlan &Plan, Memory &M,
   }
 
   // Per-array decisions.
-  std::map<SymbolId, ArrayDecision> Decisions;
-  bool AllOk = true;
   bool AbortRun = false;
   double TP = nowSeconds();
   for (size_t PI = 0; PI < Plan.Arrays.size() && !AbortRun; ++PI) {
@@ -347,7 +381,7 @@ ExecStats Executor::runPlanned(const LoopPlan &Plan, Memory &M,
       Stats.ScalarEvals += US.GateScalarEvals;
       Stats.LanesPoisoned += US.GateLanesPoisoned;
       Stats.ExactTestSeconds += nowSeconds() - TE;
-      Stats.UsedExactTest = true;
+      Verdict.UsedExactTest = true;
       // An exact-test boundary is also a cancellation boundary: a fired
       // token means V is nullopt (no answer), which must abort the run
       // rather than read as "not independent" and route to fallbacks.
@@ -361,17 +395,17 @@ ExecStats Executor::runPlanned(const LoopPlan &Plan, Memory &M,
     if (AbortRun)
       break;
     if (FD == -2 && !ExactEmpty(AP.FlowUSR)) {
-      AllOk = false;
+      Verdict.AllOk = false;
       break;
     }
-    Stats.CascadeDepthUsed = std::max(Stats.CascadeDepthUsed, FD);
+    Verdict.CascadeDepthUsed = std::max(Verdict.CascadeDepthUsed, FD);
 
     // Output independence, else privatization.
     int OD = Casc(AP.Output, AC ? &AC->Output : nullptr);
     if (OD == -2) {
       int PD = Casc(AP.Priv, AC ? &AC->Priv : nullptr);
       if (PD == -2 && !ExactEmpty(AP.OutputUSR)) {
-        AllOk = false;
+        Verdict.AllOk = false;
         break;
       }
       if (PD != -2) {
@@ -381,11 +415,10 @@ ExecStats Executor::runPlanned(const LoopPlan &Plan, Memory &M,
           D.UseSLV = true;
         else
           D.UseDLV = true;
-        Stats.CascadeDepthUsed =
-            std::max(Stats.CascadeDepthUsed, std::max(PD, SD));
+        Verdict.CascadeDepthUsed = std::max(Verdict.CascadeDepthUsed, std::max(PD, SD));
       }
     } else {
-      Stats.CascadeDepthUsed = std::max(Stats.CascadeDepthUsed, OD);
+      Verdict.CascadeDepthUsed = std::max(Verdict.CascadeDepthUsed, OD);
     }
     if (AbortRun)
       break;
@@ -395,7 +428,7 @@ ExecStats Executor::runPlanned(const LoopPlan &Plan, Memory &M,
       if (AP.ExtRedUSR) { // EXT-RRED: direct writes coexist.
         int ED = Casc(AP.ExtRedFlow, AC ? &AC->ExtRedFlow : nullptr);
         if (ED == -2 && !ExactEmpty(AP.ExtRedUSR)) {
-          AllOk = false;
+          Verdict.AllOk = false;
           break;
         }
       }
@@ -410,18 +443,98 @@ ExecStats Executor::runPlanned(const LoopPlan &Plan, Memory &M,
         Stats.BoundsCompSeconds += nowSeconds() - TB;
       }
     }
-    Decisions[AP.Array] = D;
+    Verdict.Decisions[AP.Array] = D;
   }
   Stats.PredicateSeconds =
       nowSeconds() - TP - Stats.ExactTestSeconds - Stats.BoundsCompSeconds;
+  return !AbortRun;
+}
+
+ExecStats Executor::runPlanned(const LoopPlan &Plan, Memory &M,
+                               sym::Bindings &B, ThreadPool &Pool,
+                               HoistCache *Hoist, const PlanCascades *Pre,
+                               ExecContext *Ctx, USRCompileCache *UsrCompile,
+                               TestMemo *Memo) {
+  assert((!Pre || Pre->Arrays.size() == Plan.Arrays.size()) &&
+         "plan cascades must be built from this plan");
+  support::faultAt("rt.exec");
+  const support::CancelToken *Cancel = Ctx ? Ctx->Cancel : nullptr;
+  ExecStats Stats;
+  double T0 = nowSeconds();
+  const DoLoop &Loop = *Plan.Loop;
+
+  // Classifies a fired token into the stats and finalizes timing. Every
+  // abort below fires *between* units of work: either nothing ran yet, or
+  // only complete phases (CIV slice, decided predicates) ran — the
+  // caller's Memory is never left mid-loop-body.
+  auto finishAborted = [&]() -> ExecStats {
+    Stats.Aborted =
+        Cancel->state() == support::CancelToken::State::Expired
+            ? ExecStats::AbortReason::Expired
+            : ExecStats::AbortReason::Cancelled;
+    Stats.TotalSeconds = nowSeconds() - T0;
+    return Stats;
+  };
+  if (support::stopRequested(Cancel))
+    return finishAborted();
+
+  // Loops proven dependent (or abandoned by the static-only baseline)
+  // execute sequentially without any dynamic machinery.
+  if (Plan.Class == analysis::LoopClass::StaticSeq ||
+      (!Plan.RuntimeTestsEnabled &&
+       Plan.Class != analysis::LoopClass::StaticPar)) {
+    interpSequential(Loop, M, B);
+    Stats.TotalSeconds = nowSeconds() - T0;
+    return Stats;
+  }
+
+  // The hoisted test phase: an exact-input hit reuses the verdict (and
+  // the CIV arrays) a previous execution computed from the same bindings;
+  // a miss runs every test and publishes its verdict. The lookup, and on
+  // a miss the key capture and publish, are charged to PredicateSeconds.
+  if (Plan.Class == analysis::LoopClass::StaticPar)
+    Memo = nullptr;
+  double TL = nowSeconds();
+  std::shared_ptr<const TestMemo::Entry> Hit =
+      Memo ? Memo->lookup(B, Plan.Civ) : nullptr;
+  std::shared_ptr<TestMemo::Entry> Fresh =
+      Memo && !Hit ? TestMemo::capture(B, Plan.Civ) : nullptr;
+  double MemoSeconds = nowSeconds() - TL;
+  TestVerdict Local;
+  const TestVerdict *V = &Local;
+  bool Completed = true;
+  if (Hit) {
+    ++Stats.TestMemoHits;
+    for (const auto &KV : Hit->CivArrays)
+      B.setArray(KV.first, KV.second);
+    V = &Hit->Verdict;
+  } else {
+    Stats.TestMemoMisses += Memo != nullptr;
+    Completed = runTests(Plan, M, B, Pool, Hoist, Pre, Ctx, UsrCompile,
+                         Stats, Local);
+    if (Fresh && Completed && !support::stopRequested(Cancel)) {
+      TL = nowSeconds();
+      for (const summary::CivDesc &D : Plan.Civ.Civs)
+        Fresh->CivArrays.emplace_back(D.EntryArr, B.sharedArray(D.EntryArr));
+      for (const summary::CivJoin &J : Plan.Civ.Joins)
+        Fresh->CivArrays.emplace_back(J.JoinArr, B.sharedArray(J.JoinArr));
+      Fresh->Verdict = std::move(Local);
+      V = &Fresh->Verdict; // Fresh keeps the published entry alive.
+      Memo->publish(Fresh);
+      MemoSeconds += nowSeconds() - TL;
+    }
+  }
+  Stats.PredicateSeconds += MemoSeconds;
+  Stats.CascadeDepthUsed = V->CascadeDepthUsed;
+  Stats.UsedExactTest = V->UsedExactTest;
 
   // Last poll before committing to body execution (parallel, speculative
   // or sequential): once a body starts, it runs to completion so the
   // caller's Memory is never partially updated.
-  if (AbortRun || support::stopRequested(Cancel))
+  if (!Completed || support::stopRequested(Cancel))
     return finishAborted();
 
-  if (AllOk) {
+  if (V->AllOk) {
     // Parallel execution with the selected techniques.
     int64_t Lo = sym::eval(Loop.getLo(), B);
     int64_t Hi = sym::eval(Loop.getHi(), B);
@@ -436,7 +549,7 @@ ExecStats Executor::runPlanned(const LoopPlan &Plan, Memory &M,
     std::map<SymbolId, std::vector<std::vector<double>>> RedBufs;
     std::map<SymbolId, std::vector<std::vector<uint8_t>>> Masks;
     std::map<SymbolId, std::vector<ExecState::DlvBuf>> DlvBufs;
-    for (const auto &KV : Decisions) {
+    for (const auto &KV : V->Decisions) {
       std::vector<double> *Shared = M.find(KV.first);
       if (!Shared)
         continue;
@@ -459,6 +572,7 @@ ExecStats Executor::runPlanned(const LoopPlan &Plan, Memory &M,
     }
 
     std::vector<int64_t> LastChunkEnd(NT, -1);
+    std::vector<std::optional<ExecState::OobAccess>> Oobs(NT);
     Pool.parallelForBlocked(
         Lo, Hi + 1, [&](int64_t BLo, int64_t BHi, unsigned T) {
           ExecState St(M, B);
@@ -482,7 +596,10 @@ ExecStats Executor::runPlanned(const LoopPlan &Plan, Memory &M,
               interpStmt(C, St);
           }
           LastChunkEnd[T] = BHi - 1;
+          Oobs[T] = St.Oob;
         });
+    for (const auto &O : Oobs)
+      throwIfOutOfBounds(O);
 
     // Merge: reductions (sum), SLV (last thread's written elements),
     // DLV (max iteration wins).
@@ -557,8 +674,9 @@ bool Executor::runSpeculative(const LoopPlan &Plan, Memory &M,
     Shadows.emplace(KV.first, std::make_unique<Shadow>(KV.second.size()));
 
   std::atomic<bool> Conflict{false};
+  std::vector<std::optional<ExecState::OobAccess>> Oobs(Pool.numThreads());
   Pool.parallelForBlocked(Lo, Hi + 1,
-                          [&](int64_t BLo, int64_t BHi, unsigned) {
+                          [&](int64_t BLo, int64_t BHi, unsigned T) {
                             ExecState St(M, B);
                             for (auto &KV : Shadows)
                               St.Shadows[KV.first] = KV.second.get();
@@ -577,7 +695,12 @@ bool Executor::runSpeculative(const LoopPlan &Plan, Memory &M,
                               for (const Stmt *C : Loop.getBody())
                                 interpStmt(C, St);
                             }
+                            Oobs[T] = St.Oob;
                           });
+  // An out-of-bounds access is a fault of the loop and its data, not a
+  // dependence: sequential re-execution would hit it too.
+  for (const auto &O : Oobs)
+    throwIfOutOfBounds(O);
 
   if (!Conflict.load()) {
     Stats.RanParallel = true;

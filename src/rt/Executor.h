@@ -36,6 +36,7 @@
 #include "sym/Eval.h"
 
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <unordered_map>
 #include <vector>
@@ -53,7 +54,9 @@ struct ExecStats {
   AbortReason Aborted = AbortReason::None;
 
   double TotalSeconds = 0;
-  double PredicateSeconds = 0; ///< Cascade evaluation time.
+  /// Cascade evaluation time, plus the TestMemo lookup (and, on a miss,
+  /// the key capture and publish).
+  double PredicateSeconds = 0;
   double CivSliceSeconds = 0;  ///< CIV-COMP precomputation time.
   double ExactTestSeconds = 0; ///< Inspector (exact USR) time.
   double BoundsCompSeconds = 0;
@@ -102,6 +105,12 @@ struct ExecStats {
   /// whose predicate failed to lower and exact tests whose USR failed to
   /// lower; semantically identical, only slower, and visible here.
   uint64_t GuardDemotions = 0;
+  /// Planned executions whose runtime-test verdict came from the prepared
+  /// loop's TestMemo (every test skipped) vs. ones that ran the tests.
+  /// Executions that bypass the memo (static plans, standalone
+  /// executors) count as neither.
+  uint64_t TestMemoHits = 0;
+  uint64_t TestMemoMisses = 0;
 
   /// Accumulates \p O into this: times and event counters sum, the
   /// boolean outcomes OR (e.g. `RanParallel` means "any accumulated
@@ -137,6 +146,8 @@ struct ExecStats {
     ScalarEvals += O.ScalarEvals;
     LanesPoisoned += O.LanesPoisoned;
     GuardDemotions += O.GuardDemotions;
+    TestMemoHits += O.TestMemoHits;
+    TestMemoMisses += O.TestMemoMisses;
     return *this;
   }
 };
@@ -215,6 +226,84 @@ private:
   uint64_t Collisions HALO_GUARDED_BY(M) = 0;
 };
 
+/// Runtime decision for one written array.
+struct ArrayDecision {
+  bool Privatize = false;
+  bool UseSLV = false;
+  bool UseDLV = false;
+  bool ReductionPrivate = false;
+};
+
+/// What the runtime tests of one planned execution decided: everything
+/// the loop body, the TLS fallback and the merges read from the tests.
+struct TestVerdict {
+  std::map<sym::SymbolId, ArrayDecision> Decisions;
+  bool AllOk = true;
+  int CascadeDepthUsed = -1;
+  bool UsedExactTest = false;
+};
+
+/// Exact-input memo of one prepared loop's runtime-test verdict — the
+/// paper's amortization of tests whose inputs do not change across a
+/// loop's invocations (Sec. 5), applied to every test at once: CIV-COMP,
+/// every cascade, the exact USR test and BOUNDS-COMP.
+///
+/// The key is the execution's whole sym::Bindings — every scalar and
+/// every index array — minus the plan's own CIV entry/join pseudo-arrays,
+/// which are outputs of the CIV slice. Every runtime test is a pure
+/// function of those bindings under a fixed plan, so a hit is exact (no
+/// hashing): scalars compare by value, arrays by pointer first (the
+/// shared storage a copied Bindings keeps) and then by value. Key arrays
+/// are held zero-copy as the shared_ptrs the Bindings already owns.
+///
+/// One slot: the most recent inputs win it. Internally synchronized; the
+/// lock covers only the copy of the slot's shared_ptr, and the entry is
+/// immutable once published, so the key comparison runs outside the lock
+/// and concurrent executions never serialize on each other's tests.
+class TestMemo {
+public:
+  /// One published verdict with the inputs it was computed from.
+  struct Entry {
+    /// Key: every bound scalar, and every bound array except the plan's
+    /// CIV pseudo-arrays.
+    std::vector<std::pair<sym::SymbolId, int64_t>> Scalars;
+    std::vector<std::pair<sym::SymbolId,
+                          std::shared_ptr<const sym::ArrayBinding>>>
+        Arrays;
+    /// The CIV-COMP output a hit republishes into the bindings.
+    std::vector<std::pair<sym::SymbolId,
+                          std::shared_ptr<const sym::ArrayBinding>>>
+        CivArrays;
+    TestVerdict Verdict;
+
+    /// True when \p B binds exactly this entry's key (ignoring \p Civ's
+    /// pseudo-arrays in \p B).
+    bool matches(const sym::Bindings &B, const summary::CivPlan &Civ) const;
+  };
+
+  /// Starts an entry keyed by \p B (minus \p Civ's pseudo-arrays); the
+  /// caller fills in the outputs and publishes it.
+  static std::shared_ptr<Entry> capture(const sym::Bindings &B,
+                                        const summary::CivPlan &Civ);
+
+  /// The stored entry when it matches \p B exactly, else null.
+  std::shared_ptr<const Entry> lookup(const sym::Bindings &B,
+                                      const summary::CivPlan &Civ) const
+      HALO_EXCLUDES(M);
+  /// Replaces the slot with \p E. Callers never publish the verdict of an
+  /// aborted execution.
+  void publish(std::shared_ptr<const Entry> E) HALO_EXCLUDES(M);
+  /// The current slot (null when empty).
+  std::shared_ptr<const Entry> current() const HALO_EXCLUDES(M) {
+    support::MutexLock L(M);
+    return Slot;
+  }
+
+private:
+  mutable support::Mutex M;
+  std::shared_ptr<const Entry> Slot HALO_GUARDED_BY(M);
+};
+
 /// Executes analyzed loops under their plans (and plain programs through
 /// the interpreter substrate).
 class Executor {
@@ -241,12 +330,20 @@ public:
   /// mutates no executor state, so concurrent calls are safe as long as
   /// every caller brings its own Memory/Bindings/ExecContext (the
   /// serving layer's intra-shard concurrency contract).
+  /// \p Memo (the prepared loop's TestMemo) hoists the whole test phase
+  /// across executions: a hit skips CIV-COMP, every cascade, the exact
+  /// test and BOUNDS-COMP; a miss runs them and publishes the verdict.
+  /// StaticPar plans bypass it.
+  /// Throws support::OutOfBoundsError when the loop body accesses an
+  /// array out of bounds (detected after the workers join; no write lands
+  /// outside an array, Memory is otherwise unspecified).
   ExecStats runPlanned(const analysis::LoopPlan &Plan, Memory &M,
                        sym::Bindings &B, ThreadPool &Pool,
                        HoistCache *Hoist = nullptr,
                        const PlanCascades *Pre = nullptr,
                        ExecContext *Ctx = nullptr,
-                       USRCompileCache *UsrCompile = nullptr);
+                       USRCompileCache *UsrCompile = nullptr,
+                       TestMemo *Memo = nullptr);
 
   /// CIV-COMP: precomputes civ@pre / join pseudo-arrays into \p B by a
   /// sequential slice of the loop (only control flow and CIV updates).
@@ -289,6 +386,15 @@ public:
   size_t numCompiledUSRs() const { return OwnUsrCompile.size(); }
 
 private:
+  /// The test phase of runPlanned: CIV-COMP, the per-array cascades with
+  /// their exact-test fallbacks, BOUNDS-COMP. Fills \p Verdict and the
+  /// timing and evaluation counters of \p Stats; returns false when a
+  /// fired cancellation token aborted it (Verdict is then meaningless).
+  bool runTests(const analysis::LoopPlan &Plan, Memory &M, sym::Bindings &B,
+                ThreadPool &Pool, HoistCache *Hoist, const PlanCascades *Pre,
+                ExecContext *Ctx, USRCompileCache *UsrCompile,
+                ExecStats &Stats, TestVerdict &Verdict);
+
   bool runSpeculative(const analysis::LoopPlan &Plan, Memory &M,
                       sym::Bindings &B, ThreadPool &Pool, ExecStats &Stats);
 

@@ -48,6 +48,41 @@ std::pair<SymbolId, int64_t> ExecState::resolve(SymbolId Arr,
   return {Arr, Off};
 }
 
+bool ExecState::inBounds(const std::vector<double> *V, SymbolId Base,
+                         int64_t Idx) {
+  // One unsigned compare covers Idx < 0 too; the miss path stays cold so
+  // the interpreter's load/store fast path keeps its shape.
+  if (__builtin_expect(V && static_cast<uint64_t>(Idx) < V->size(), 1))
+    return true;
+  recordOob(Base, Idx);
+  return false;
+}
+
+void ExecState::recordOob(SymbolId Base, int64_t Idx) {
+  if (!Oob)
+    Oob = OobAccess{Base, Idx};
+}
+
+void rt::throwIfOutOfBounds(const std::optional<ExecState::OobAccess> &A) {
+  if (A)
+    throw support::OutOfBoundsError(A->Array, A->Index);
+}
+
+// Speculative (LRPD) workers share the unprivatized arrays, so two of
+// them may touch one element at once. The shadows flag every such
+// conflict and the run is rolled back, so the values read or written then
+// do not matter; relaxed atomic accesses keep them from being a data race
+// (on x86-64 they are plain moves).
+static double speculativeLoad(double *P) {
+  double X;
+  __atomic_load(P, &X, __ATOMIC_RELAXED);
+  return X;
+}
+
+static void speculativeStore(double *P, double X) {
+  __atomic_store(P, &X, __ATOMIC_RELAXED);
+}
+
 double ExecState::load(SymbolId Arr, int64_t Off) {
   auto [Base, Idx] = resolve(Arr, Off);
   if (auto SIt = Shadows.find(Base); SIt != Shadows.end()) {
@@ -67,10 +102,9 @@ double ExecState::load(SymbolId Arr, int64_t Off) {
     V = RIt->second;
   else
     V = M.find(Base);
-  assert(V && "load from unallocated array");
-  assert(Idx >= 0 && static_cast<size_t>(Idx) < V->size() &&
-         "array load out of bounds");
-  return (*V)[Idx];
+  if (!inBounds(V, Base, Idx))
+    return 0.0;
+  return Conflict ? speculativeLoad(&(*V)[Idx]) : (*V)[Idx];
 }
 
 void ExecState::store(SymbolId Arr, int64_t Off, double Val,
@@ -90,16 +124,16 @@ void ExecState::store(SymbolId Arr, int64_t Off, double Val,
     }
   }
   if (IsReduction) {
-    if (auto RIt = RedBuf.find(Base); RIt != RedBuf.end()) {
-      auto &V = *RIt->second;
-      assert(Idx >= 0 && static_cast<size_t>(Idx) < V.size());
-      V[Idx] += Val;
+    // Private reduction copy, else a direct (injective) update on the
+    // shared array.
+    auto RIt = RedBuf.find(Base);
+    std::vector<double> *V = RIt != RedBuf.end() ? RIt->second : M.find(Base);
+    if (!inBounds(V, Base, Idx))
       return;
-    }
-    // Direct (injective) reduction update on the shared array.
-    std::vector<double> *V = M.find(Base);
-    assert(V && Idx >= 0 && static_cast<size_t>(Idx) < V->size());
-    (*V)[Idx] += Val;
+    if (Conflict)
+      speculativeStore(&(*V)[Idx], speculativeLoad(&(*V)[Idx]) + Val);
+    else
+      (*V)[Idx] += Val;
     return;
   }
   std::vector<double> *V = nullptr;
@@ -107,10 +141,12 @@ void ExecState::store(SymbolId Arr, int64_t Off, double Val,
     V = RIt->second;
   else
     V = M.find(Base);
-  assert(V && "store to unallocated array");
-  assert(Idx >= 0 && static_cast<size_t>(Idx) < V->size() &&
-         "array store out of bounds");
-  (*V)[Idx] = Val;
+  if (!inBounds(V, Base, Idx))
+    return;
+  if (Conflict)
+    speculativeStore(&(*V)[Idx], Val);
+  else
+    (*V)[Idx] = Val;
   if (auto WIt = WrittenMask.find(Base); WIt != WrittenMask.end())
     (*WIt->second)[Idx] = 1;
   if (auto DIt = Dlv.find(Base); DIt != Dlv.end()) {
@@ -214,12 +250,14 @@ void rt::interpStmts(const std::vector<const Stmt *> &Stmts, Memory &M,
   for (const Stmt *S : Stmts)
     interpStmt(S, St);
   B = St.B; // Propagate scalar updates (CIV values etc.).
+  throwIfOutOfBounds(St.Oob);
 }
 
 void rt::interpSequential(const DoLoop &Loop, Memory &M, sym::Bindings &B) {
   ExecState St(M, B);
   interpStmt(&Loop, St);
   B = St.B;
+  throwIfOutOfBounds(St.Oob);
 }
 
 //===----------------------------------------------------------------------===//
@@ -396,8 +434,12 @@ static bool boundsOf(const usr::USR *S, sym::Bindings &B, int64_t &Lo,
       B.setScalar(R->getVar(), I);
       Ok = boundsOf(R->getBody(), B, Lo, Hi, Any);
     }
+    // Leave the bindings as found: BOUNDS-COMP is a pure test, and the
+    // runtime-test memo keys on every bound scalar.
     if (Saved)
       B.setScalar(R->getVar(), *Saved);
+    else
+      B.clearScalar(R->getVar());
     return Ok;
   }
   case USRKind::Intersect:

@@ -81,11 +81,23 @@ struct ExecState {
   };
   std::map<sym::SymbolId, DlvBuf *> Dlv;
 
-  /// LRPD shadows (speculative runs only).
+  /// LRPD shadows (speculative runs only). A non-null Conflict marks a
+  /// speculative run: data-array accesses then use relaxed atomics, since
+  /// workers share the unprivatized arrays.
   std::map<sym::SymbolId, Shadow *> Shadows;
   std::atomic<bool> *Conflict = nullptr;
 
   int64_t CurrentIter = 0;
+
+  /// The first data-array access outside its array (or to an unallocated
+  /// one). load/store skip such an access (a load reads 0) and record it
+  /// here instead of throwing, so pool workers never throw; the entry
+  /// points raise support::OutOfBoundsError after the join.
+  struct OobAccess {
+    sym::SymbolId Array = 0;
+    int64_t Index = 0;
+  };
+  std::optional<OobAccess> Oob;
 
   explicit ExecState(Memory &M, const sym::Bindings &Bind) : M(M), B(Bind) {}
 
@@ -94,13 +106,26 @@ struct ExecState {
                                             int64_t Off) const;
   double load(sym::SymbolId Arr, int64_t Off);
   void store(sym::SymbolId Arr, int64_t Off, double Val, bool IsReduction);
+
+private:
+  /// True when element \p Idx of \p V exists; otherwise records the
+  /// access in Oob (first one wins) and returns false.
+  bool inBounds(const std::vector<double> *V, sym::SymbolId Base,
+                int64_t Idx);
+  [[gnu::cold, gnu::noinline]] void recordOob(sym::SymbolId Base,
+                                              int64_t Idx);
 };
+
+/// Throws support::OutOfBoundsError when \p A holds an access.
+void throwIfOutOfBounds(const std::optional<ExecState::OobAccess> &A);
 
 /// Interprets one statement (recursively) under \p St.
 void interpStmt(const ir::Stmt *S, ExecState &St);
 
 /// Plain sequential interpretation of a statement list; propagates scalar
-/// updates (CIV values etc.) back into \p B.
+/// updates (CIV values etc.) back into \p B. This and interpSequential
+/// throw support::OutOfBoundsError after the run when an access fell
+/// outside its array (the access itself was skipped).
 void interpStmts(const std::vector<const ir::Stmt *> &Stmts, Memory &M,
                  sym::Bindings &B);
 

@@ -189,7 +189,8 @@ rt::ExecStats Session::execute(PreparedLoop &PL, rt::Memory &M,
   Ctx.get().Cancel = Cancel;
   return Exec.runPlanned(PL.Plan, M, B, Pool, &Hoist, &PL.Cascades,
                          &Ctx.get(),
-                         Opts.UseCompiledUSRs ? &UsrCompile : nullptr);
+                         Opts.UseCompiledUSRs ? &UsrCompile : nullptr,
+                         &PL.Memo);
 }
 
 rt::ExecStats Session::run(const ir::DoLoop &Loop, rt::Memory &M,

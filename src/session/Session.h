@@ -76,9 +76,10 @@ struct SessionOptions {
 };
 
 /// One loop's analyze-once artifacts: the plan, its cascades compiled and
-/// cost-ordered at plan time, the analysis-time factorization stats, and
-/// an execution count for reporting. Immutable after prepare() except for
-/// the two atomic counters, which is what lets any number of concurrent
+/// cost-ordered at plan time, the analysis-time factorization stats, the
+/// runtime-test memo, and an execution count for reporting. Immutable
+/// after prepare() except for the two atomic counters and the internally
+/// synchronized memo, which is what lets any number of concurrent
 /// runPrepared() calls execute against it.
 struct PreparedLoop {
   analysis::LoopPlan Plan;
@@ -87,6 +88,11 @@ struct PreparedLoop {
   /// The analyzer options the plan was produced under — folded into the
   /// plan key when the session serializes this loop (savePlans).
   analysis::AnalyzerOptions AOpts;
+  /// The last execution's runtime-test verdict, keyed by its exact
+  /// bindings (rt::TestMemo): executions with the same inputs skip every
+  /// test. Born and dies with this plan, so a re-prepare, invalidate() or
+  /// warm start never sees a stale verdict.
+  rt::TestMemo Memo;
   /// Total executions against this plan (reporting).
   std::atomic<uint64_t> Executions{0};
   /// Executions running against this plan right now — the lifetime

@@ -10,13 +10,16 @@
 /// builds it aborts with a message, in release builds it is an optimizer
 /// hint. `support::Diag` / `support::ValidationError` are the structured
 /// diagnostics the front door (`ir::validateLoop`, `Session::prepare`)
-/// raises for malformed untrusted input instead of tripping asserts or UB.
+/// raises for malformed untrusted input instead of tripping asserts or UB;
+/// `support::OutOfBoundsError` is what execution raises when a loop body
+/// indexes outside an array at run time.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef HALO_SUPPORT_ERROR_H
 #define HALO_SUPPORT_ERROR_H
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
@@ -95,6 +98,31 @@ private:
   static std::string joinMessage(const std::vector<Diag> &Ds);
 
   std::vector<Diag> Diags;
+};
+
+/// Thrown by the execution entry points (`rt::interpSequential`,
+/// `rt::Executor::runPlanned` and the session/serving paths built on them)
+/// when a loop body accessed a data array outside its bounds or an array
+/// that was never allocated. The interpreter skips the access and raises
+/// a flag (pool workers never throw); the entry point throws this after
+/// the workers join. No memory outside an array was touched; the arrays'
+/// contents are unspecified.
+class OutOfBoundsError : public std::runtime_error {
+public:
+  OutOfBoundsError(uint32_t ArrayId, int64_t Index)
+      : std::runtime_error("array access out of bounds: symbol #" +
+                           std::to_string(ArrayId) + ", element " +
+                           std::to_string(Index)),
+        ArrayId(ArrayId), Index(Index) {}
+
+  /// The sym::SymbolId of the accessed (alias-resolved) array.
+  uint32_t arrayId() const { return ArrayId; }
+  /// The zero-based element index of the first offending access.
+  int64_t index() const { return Index; }
+
+private:
+  uint32_t ArrayId;
+  int64_t Index;
 };
 
 } // namespace support

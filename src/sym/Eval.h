@@ -89,6 +89,12 @@ public:
     Arrays[S] = std::make_shared<ArrayBinding>(std::move(A));
     ++Mut;
   }
+  /// Binds \p S to already-shared immutable storage (zero-copy: the
+  /// runtime-test memo republishes stored CIV arrays through this).
+  void setArray(SymbolId S, std::shared_ptr<const ArrayBinding> A) {
+    Arrays[S] = std::move(A);
+    ++Mut;
+  }
 
   BindingsStamp stamp() const { return BindingsStamp{Id, Mut}; }
 
@@ -101,6 +107,26 @@ public:
   const ArrayBinding *array(SymbolId S) const {
     auto It = Arrays.find(S);
     return It == Arrays.end() ? nullptr : It->second.get();
+  }
+  /// The shared storage behind array(S), or null when unbound.
+  std::shared_ptr<const ArrayBinding> sharedArray(SymbolId S) const {
+    auto It = Arrays.find(S);
+    return It == Arrays.end() ? nullptr : It->second;
+  }
+
+  size_t numScalars() const { return Scalars.size(); }
+  size_t numArrays() const { return Arrays.size(); }
+  /// Calls \p F(SymbolId, int64_t) for every bound scalar, in
+  /// unspecified order.
+  template <typename Fn> void forEachScalar(Fn &&F) const {
+    for (const auto &KV : Scalars)
+      F(KV.first, KV.second);
+  }
+  /// Calls \p F(SymbolId, const std::shared_ptr<const ArrayBinding> &) for
+  /// every bound array, in unspecified order.
+  template <typename Fn> void forEachArray(Fn &&F) const {
+    for (const auto &KV : Arrays)
+      F(KV.first, KV.second);
   }
 
 private:

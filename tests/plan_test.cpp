@@ -237,9 +237,10 @@ TEST(PlanRoundTrip, SuiteLoopsAdoptWithoutReanalysis) {
 // compiled/interpreted stats split must be identical — the warm plan runs
 // the exact same engine tiers as the cold one. Alternating UseBlockEval
 // covers the block-vectorized tier on both sides of the round trip, and a
-// second warm run pins pooled-frame reuse after a load.
+// second warm run on identical inputs pins the runtime-test memo of the
+// adopted plan.
 TEST(PlanRoundTrip, FuzzedNestsExecuteIdentically) {
-  uint64_t FrameReuse = 0, CompiledEvals = 0;
+  uint64_t FrameReuse = 0, CompiledEvals = 0, MemoHits = 0;
   for (uint64_t Seed = 1; Seed <= NumRoundTripSeeds; ++Seed) {
     SCOPED_TRACE("seed " + std::to_string(Seed));
     fuzz::GenOptions GO;
@@ -281,21 +282,26 @@ TEST(PlanRoundTrip, FuzzedNestsExecuteIdentically) {
     expectSameMemory(MA, MB, "warm vs cold");
     expectSameSplit(ESA, ESB, "warm vs cold");
     CompiledEvals += ESB.CompiledPredEvals + ESB.CompiledUSREvals;
+    FrameReuse += ESB.FrameRebindsSkipped;
 
-    // Pooled frames survive adoption: a second warm execution reuses the
-    // frames the first one bound.
+    // The adopted plan memoizes its verdict: a second warm execution on
+    // identical inputs runs no test and still matches.
     rt::Memory MB2;
     sym::Bindings BB2;
     CB->bind(MB2, BB2);
     rt::ExecStats ESB2 = SB.run(*CB->Loop, MB2, BB2);
     expectSameMemory(MA, MB2, "second warm run");
-    FrameReuse += ESB2.FrameRebindsSkipped;
+    EXPECT_EQ(ESB2.TestMemoMisses, 0u);
+    EXPECT_EQ(ESB2.TestMemoHits, ESB.TestMemoMisses);
+    MemoHits += ESB2.TestMemoHits;
   }
-  // The sweep as a whole must have exercised the compiled tier and the
-  // pooled-frame fast path through adopted plans — otherwise the parity
-  // above proved nothing about the warm engine configuration.
+  // The sweep as a whole must have exercised the compiled tier, the
+  // pooled-frame fast path and the test memo through adopted plans —
+  // otherwise the parity above proved nothing about the warm engine
+  // configuration.
   EXPECT_GT(CompiledEvals, 0u);
   EXPECT_GT(FrameReuse, 0u);
+  EXPECT_GT(MemoHits, 0u);
 }
 
 //===----------------------------------------------------------------------===//

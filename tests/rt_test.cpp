@@ -7,6 +7,10 @@
 
 #include "rt/Executor.h"
 
+#include "session/Session.h"
+#include "suite/Suite.h"
+#include "support/Error.h"
+
 #include <gtest/gtest.h>
 
 using namespace halo;
@@ -334,6 +338,61 @@ TEST_F(RtTest, CallSiteAliasingResolvesNestedOffsets) {
     else
       EXPECT_EQ((*M.find(X))[K], 0.0) << K;
   }
+}
+
+TEST_F(RtTest, OutOfBoundsAccessRaisesTypedErrorSequentialAndParallel) {
+  // X has N-1 elements; the last iteration writes X[N-1]. The access is
+  // skipped and reported after the run (after the join in parallel),
+  // never a heap overflow in any build.
+  sym::SymbolId X = Sym.symbol("X", 0, true);
+  sym::SymbolId Y = Sym.symbol("Y", 0, true);
+  DoLoop *L = parLoop(X, Y);
+  analysis::LoopPlan Plan = planFor(L);
+  ASSERT_EQ(Plan.Class, analysis::LoopClass::StaticPar);
+  for (bool Parallel : {false, true}) {
+    Memory M;
+    sym::Bindings B;
+    B.setScalar(Sym.symbol("N"), 64);
+    M.alloc(X, 63);
+    M.alloc(Y, 64);
+    ThreadPool Pool(4);
+    Executor E(Prog, U);
+    try {
+      if (Parallel)
+        E.runPlanned(Plan, M, B, Pool);
+      else
+        E.runSequential(*L, M, B);
+      ADD_FAILURE() << "no error, parallel=" << Parallel;
+    } catch (const support::OutOfBoundsError &Err) {
+      EXPECT_EQ(Err.arrayId(), X);
+      EXPECT_EQ(Err.index(), 63);
+    }
+    EXPECT_EQ(M.find(X)->size(), 63u);
+  }
+}
+
+TEST(RtSuiteTest, RepeatedSequentialRunOfCivLoopIsTypedError) {
+  // bdna ACTFOR_do240 carries its CIV into the next run on the same
+  // Memory/Bindings, so the second run's block writes start past XCIV's
+  // end. That used to overflow the heap (asserts only); it must end in
+  // a typed error instead, with no write outside the array.
+  auto Benches = suite::buildAllBenchmarks();
+  suite::Benchmark *Bdna = nullptr;
+  const suite::LoopSpec *Spec = nullptr;
+  for (auto &B : Benches)
+    if (B->Name == "bdna")
+      for (const suite::LoopSpec &LS : B->Loops)
+        if (LS.Name == "ACTFOR_do240") {
+          Bdna = B.get();
+          Spec = &LS;
+        }
+  ASSERT_NE(Spec, nullptr);
+  session::Session S(Bdna->prog(), Bdna->usr());
+  rt::Memory M;
+  sym::Bindings B;
+  Bdna->Setup(M, B, 8);
+  S.runSequential(*Spec->Loop, M, B);
+  EXPECT_THROW(S.runSequential(*Spec->Loop, M, B), support::OutOfBoundsError);
 }
 
 } // namespace

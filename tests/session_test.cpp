@@ -16,10 +16,12 @@
 #include "support/Rng.h"
 #include "suite/Suite.h"
 
+#include <atomic>
 #include <chrono>
 #include <cstring>
 #include <optional>
 #include <stdexcept>
+#include <thread>
 #include <gtest/gtest.h>
 
 using namespace halo;
@@ -192,7 +194,7 @@ TEST_F(SessionFixture, CachedPlansMatchFreshAnalyzerExecutorPerExecution) {
   EXPECT_GT(S.numCompiledPreds(), 0u);
 }
 
-TEST_F(SessionFixture, SteadyStateSkipsFrameRebindsAndStaysExact) {
+TEST_F(SessionFixture, SteadyStateHitsTestMemoAndStaysExact) {
   session::SessionOptions SO;
   SO.Threads = 1;
   session::Session S(B.prog(), B.usr(), SO);
@@ -202,10 +204,12 @@ TEST_F(SessionFixture, SteadyStateSkipsFrameRebindsAndStaysExact) {
   Rng R(7);
   mutate(R, BS, BR, MS, MR, true);
 
-  // Execution 1 binds every stage frame; 2..N with untouched bindings
-  // must skip every re-bind and still match a fresh executor bit-for-bit.
+  // Execution 1 runs the tests (binding every stage frame); 2..N with
+  // untouched bindings reuse its verdict without evaluating anything and
+  // must still match a fresh executor bit-for-bit.
   rt::ExecStats First = S.run(*Blocks, MS, BS);
   EXPECT_GT(First.FrameBinds, 0u);
+  EXPECT_EQ(First.TestMemoMisses, 1u);
   ThreadPool RefPool(1);
   {
     analysis::HybridAnalyzer A(B.usr(), B.prog(), optsFor(Blocks));
@@ -215,8 +219,10 @@ TEST_F(SessionFixture, SteadyStateSkipsFrameRebindsAndStaysExact) {
   }
   for (int E = 0; E < 5; ++E) {
     rt::ExecStats St = S.run(*Blocks, MS, BS);
-    EXPECT_EQ(St.FrameBinds, 0u);
-    EXPECT_GT(St.FrameRebindsSkipped, 0u);
+    EXPECT_EQ(St.TestMemoHits, 1u);
+    EXPECT_EQ(St.FrameBinds + St.FrameRebindsSkipped, 0u);
+    EXPECT_EQ(St.CompiledPredEvals + St.InterpPredEvals, 0u);
+    expectStatsEq(St, First, "steady state");
     analysis::HybridAnalyzer A(B.usr(), B.prog(), optsFor(Blocks));
     analysis::LoopPlan Plan = A.analyze(*Blocks);
     rt::Executor Ex(B.prog(), B.usr());
@@ -224,11 +230,36 @@ TEST_F(SessionFixture, SteadyStateSkipsFrameRebindsAndStaysExact) {
     expectMemoryEq(MS, MR, "steady state");
   }
 
-  // Mutating the bindings must force a full re-bind (and stay exact).
+  // Mutating the bindings must miss the memo, re-bind (and stay exact).
   BS.setScalar(BB.Sym.symbol("s"), 2);
   BR.setScalar(BB.Sym.symbol("s"), 2);
   rt::ExecStats Rebound = S.run(*Blocks, MS, BS);
+  EXPECT_EQ(Rebound.TestMemoMisses, 1u);
   EXPECT_GT(Rebound.FrameBinds, 0u);
+}
+
+TEST_F(SessionFixture, PooledFramesSkipRebindsOnUnchangedBindings) {
+  // The frame pool below the memo: re-evaluating a plan's cascades
+  // against unchanged bindings (no memo) reuses every bound frame.
+  session::SessionOptions SO;
+  SO.Threads = 1;
+  session::Session S(B.prog(), B.usr(), SO);
+  const session::PreparedLoop &PL = S.prepare(*Blocks, optsFor(Blocks));
+  rt::Memory MS, MR;
+  sym::Bindings BS, BR;
+  Rng R(7);
+  mutate(R, BS, BR, MS, MR, true);
+  rt::ExecContext Ctx;
+  rt::ExecStats First = S.executor().runPlanned(PL.Plan, MS, BS, S.pool(),
+                                                nullptr, &PL.Cascades, &Ctx);
+  EXPECT_GT(First.FrameBinds, 0u);
+  for (int E = 0; E < 3; ++E) {
+    rt::ExecStats St = S.executor().runPlanned(PL.Plan, MS, BS, S.pool(),
+                                               nullptr, &PL.Cascades, &Ctx);
+    EXPECT_EQ(St.FrameBinds, 0u);
+    EXPECT_GT(St.FrameRebindsSkipped, 0u);
+    EXPECT_EQ(St.TestMemoHits + St.TestMemoMisses, 0u);
+  }
 }
 
 TEST_F(SessionFixture, MultiThreadedCascadeThroughSessionMatchesReference) {
@@ -361,9 +392,10 @@ TEST_F(SessionFixture, RunBatchReportsEveryExecution) {
   auto Stats = S.runBatch(*Strided, MS, BS, 5);
   ASSERT_EQ(Stats.size(), 5u);
   EXPECT_EQ(S.prepare(*Strided).Executions, 5u);
-  // Batch executions after the first reuse the pooled frames.
+  // Batch executions after the first reuse its runtime-test verdict.
+  EXPECT_EQ(Stats[0].TestMemoMisses, 1u);
   for (size_t E = 1; E < Stats.size(); ++E)
-    EXPECT_GT(Stats[E].FrameRebindsSkipped, 0u);
+    EXPECT_EQ(Stats[E].TestMemoHits, 1u);
 
   ThreadPool RefPool(2);
   for (int E = 0; E < 5; ++E) {
@@ -610,6 +642,234 @@ TEST_F(SessionFixture, RunPreparedShedsPreFiredTokensWithoutSideEffects) {
   ASSERT_TRUE(StL.has_value());
   EXPECT_EQ(StL->Aborted, rt::ExecStats::AbortReason::None);
   EXPECT_EQ(PL.Executions.load(), Before + 1);
+}
+
+//===----------------------------------------------------------------------===//
+// The runtime-test memo (rt::TestMemo) on suite loops
+//===----------------------------------------------------------------------===//
+
+/// One suite loop with its benchmark (looked up by name) and a session
+/// that prepared it the way the benchmark harnesses do, probing with a
+/// dataset at \p Scale.
+struct SuiteLoopSession {
+  std::vector<std::unique_ptr<suite::Benchmark>> All =
+      suite::buildAllBenchmarks();
+  suite::Benchmark *B = nullptr;
+  const suite::LoopSpec *LS = nullptr;
+  int64_t Scale;
+  std::unique_ptr<session::Session> S;
+  const session::PreparedLoop *PL = nullptr;
+
+  SuiteLoopSession(const std::string &Bench, const std::string &Loop,
+                   int64_t Scale, unsigned Threads)
+      : Scale(Scale) {
+    for (auto &Bm : All)
+      if (Bm->Name == Bench)
+        for (const suite::LoopSpec &Spec : Bm->Loops)
+          if (Spec.Name == Loop) {
+            B = Bm.get();
+            LS = &Spec;
+          }
+    EXPECT_NE(LS, nullptr) << Bench << " " << Loop;
+    if (!LS)
+      return;
+    session::SessionOptions SO;
+    SO.Threads = Threads;
+    S = std::make_unique<session::Session>(B->prog(), B->usr(), SO);
+    prepare();
+  }
+
+  /// (Re-)prepares the loop: a fresh PreparedLoop, hence an empty memo.
+  void prepare() {
+    rt::Memory M;
+    sym::Bindings Probe;
+    B->Setup(M, Probe, Scale);
+    analysis::AnalyzerOptions Opts;
+    Opts.Probe = &Probe;
+    Opts.HoistableContext = LS->Hoistable;
+    PL = &S->prepare(*LS->Loop, Opts);
+  }
+
+  void setup(rt::Memory &M, sym::Bindings &Bd) { B->Setup(M, Bd, Scale); }
+  sym::SymbolId symbol(const char *Name) { return B->sym().symbol(Name); }
+};
+
+/// apsi RUN_do20 writes WRK(IDXA(i)) and reads WRK(JDXA(i)): disjoint
+/// ramps. Pointing IDXA(10) at JDXA(20) makes iteration 20 read what
+/// iteration 10 wrote — a real flow dependence the exact test must see.
+void collideApsi(SuiteLoopSession &L, sym::Bindings &Bd) {
+  sym::ArrayBinding I = *Bd.array(L.symbol("IDXA"));
+  I.Vals[9] = Bd.array(L.symbol("JDXA"))->Vals[19];
+  Bd.setArray(L.symbol("IDXA"), std::move(I));
+}
+
+TEST(SessionTestMemoTest, ChangedIndexArrayForcesMissAndMatchesSequential) {
+  SuiteLoopSession L("apsi", "RUN_do20", 8, 4);
+  ASSERT_NE(L.PL, nullptr);
+  auto runOn = [&](bool Collide, const char *What) {
+    rt::Memory M, MR;
+    sym::Bindings Bd, BR;
+    L.setup(M, Bd);
+    L.setup(MR, BR);
+    if (Collide) {
+      collideApsi(L, Bd);
+      collideApsi(L, BR);
+    }
+    std::optional<rt::ExecStats> St = L.S->runPrepared(*L.LS->Loop, M, Bd);
+    L.S->runSequential(*L.LS->Loop, MR, BR);
+    EXPECT_TRUE(St.has_value());
+    expectMemoryEq(M, MR, What);
+    return St.value_or(rt::ExecStats());
+  };
+  rt::ExecStats First = runOn(false, "first");
+  EXPECT_EQ(First.TestMemoMisses, 1u);
+  EXPECT_TRUE(First.RanParallel);
+  EXPECT_FALSE(First.UsedTLS);
+
+  rt::ExecStats Same = runOn(false, "same inputs");
+  EXPECT_EQ(Same.TestMemoHits, 1u);
+  expectStatsEq(Same, First, "same inputs");
+
+  // One changed index value: the memo must miss and the tests re-decide
+  // (exact test fails, speculation conflicts, sequential re-execution).
+  rt::ExecStats Changed = runOn(true, "collision");
+  EXPECT_EQ(Changed.TestMemoMisses, 1u);
+  EXPECT_EQ(Changed.TestMemoHits, 0u);
+  EXPECT_TRUE(Changed.UsedTLS);
+  EXPECT_FALSE(Changed.TLSSucceeded);
+
+  // The slot now holds the colliding inputs: the original ones miss
+  // again and parallelize again.
+  rt::ExecStats Back = runOn(false, "original again");
+  EXPECT_EQ(Back.TestMemoMisses, 1u);
+  expectStatsEq(Back, First, "original again");
+}
+
+TEST(SessionTestMemoTest, AbortedExecutionsPublishNothing) {
+  // Deadlines (Expired) and a cancelling thread (Cancelled) cycled from
+  // "fires at once" to "fires after the tests": every aborted execution
+  // must leave the memo empty, including the ones that fired after the
+  // lookup missed, i.e. in the middle of the test phase (~0.5 ms of
+  // cascades here). A completed execution publishes; the loop is then
+  // re-prepared for a fresh, empty memo.
+  for (bool ByThread : {false, true}) {
+    SCOPED_TRACE(ByThread ? "cancelled" : "expired");
+    SuiteLoopSession L("apsi", "RUN_do20", 8, 1);
+    ASSERT_NE(L.PL, nullptr);
+    unsigned MidTests = 0, Completed = 0;
+    for (int Attempt = 0; Attempt < 400 && MidTests < 4; ++Attempt) {
+      rt::Memory M;
+      sym::Bindings Bd;
+      L.setup(M, Bd);
+      auto Delay = std::chrono::microseconds(25 * (Attempt % 40));
+      std::optional<support::CancelToken> Tok;
+      if (ByThread)
+        Tok.emplace();
+      else
+        Tok.emplace(std::chrono::steady_clock::now() + Delay);
+      std::thread Canceller;
+      if (ByThread)
+        Canceller = std::thread([&] {
+          std::this_thread::sleep_for(Delay);
+          Tok->cancel();
+        });
+      std::optional<rt::ExecStats> St =
+          L.S->runPrepared(*L.LS->Loop, M, Bd, &*Tok);
+      if (Canceller.joinable())
+        Canceller.join();
+      ASSERT_TRUE(St.has_value());
+      if (St->Aborted == rt::ExecStats::AbortReason::None) {
+        ++Completed;
+        EXPECT_NE(L.PL->Memo.current(), nullptr);
+        L.prepare();
+        continue;
+      }
+      EXPECT_EQ(St->Aborted, ByThread ? rt::ExecStats::AbortReason::Cancelled
+                                      : rt::ExecStats::AbortReason::Expired);
+      ASSERT_EQ(L.PL->Memo.current(), nullptr)
+          << "an aborted execution published a verdict (attempt " << Attempt
+          << ")";
+      MidTests += static_cast<unsigned>(St->TestMemoMisses);
+    }
+    EXPECT_GT(MidTests, 0u) << "no abort landed inside the test phase";
+    // A live execution publishes; the next one on the same inputs hits.
+    for (unsigned Expect : {0u, 1u}) {
+      rt::Memory M;
+      sym::Bindings Bd;
+      L.setup(M, Bd);
+      std::optional<rt::ExecStats> St = L.S->runPrepared(*L.LS->Loop, M, Bd);
+      ASSERT_TRUE(St.has_value());
+      EXPECT_EQ(St->TestMemoHits, Expect);
+    }
+  }
+}
+
+TEST(SessionTestMemoTest, ConcurrentAlternatingDatasetsMatchLoneSession) {
+  // Four threads execute one plan on two alternating datasets (disjoint
+  // and colliding subscripts), so the memo slot flips between verdicts
+  // while other executions read it. Every result must be bit-identical
+  // to the same dataset executed alone on a fresh session.
+  const unsigned Threads = 2; // Session pool; same in both sessions.
+  SuiteLoopSession Lone("apsi", "RUN_do20", 1, Threads);
+  SuiteLoopSession L("apsi", "RUN_do20", 1, Threads);
+  ASSERT_NE(Lone.PL, nullptr);
+  ASSERT_NE(L.PL, nullptr);
+
+  sym::Bindings Template[2];
+  rt::Memory RefM[2];
+  rt::ExecStats RefSt[2];
+  for (int D = 0; D < 2; ++D) {
+    rt::Memory Scratch;
+    L.setup(Scratch, Template[D]);
+    if (D == 1)
+      collideApsi(L, Template[D]);
+    sym::Bindings Bd = Template[D];
+    Lone.setup(RefM[D], Bd);
+    Bd = Template[D];
+    std::optional<rt::ExecStats> St =
+        Lone.S->runPrepared(*Lone.LS->Loop, RefM[D], Bd);
+    ASSERT_TRUE(St.has_value());
+    RefSt[D] = *St;
+  }
+  ASSERT_NE(RefSt[0].UsedTLS, RefSt[1].UsedTLS); // Two distinct verdicts.
+
+  const unsigned Callers = 4, PerCaller = 16;
+  std::atomic<unsigned> Mismatches{0};
+  std::atomic<uint64_t> Hits{0}, Misses{0};
+  std::vector<std::thread> Ts;
+  for (unsigned T = 0; T < Callers; ++T)
+    Ts.emplace_back([&, T] {
+      for (unsigned E = 0; E < PerCaller; ++E) {
+        int D = static_cast<int>((T + E / 2) % 2);
+        rt::Memory M;
+        sym::Bindings Scratch;
+        L.setup(M, Scratch);
+        sym::Bindings Bd = Template[D]; // Shares the template's arrays.
+        std::optional<rt::ExecStats> St =
+            L.S->runPrepared(*L.LS->Loop, M, Bd);
+        bool Ok = St && St->RanParallel == RefSt[D].RanParallel &&
+                  St->UsedTLS == RefSt[D].UsedTLS &&
+                  St->TLSSucceeded == RefSt[D].TLSSucceeded &&
+                  St->UsedExactTest == RefSt[D].UsedExactTest &&
+                  St->CascadeDepthUsed == RefSt[D].CascadeDepthUsed;
+        for (const auto &KV : std::as_const(RefM[D]).arrays()) {
+          const std::vector<double> *V = M.find(KV.first);
+          Ok &= V && V->size() == KV.second.size() &&
+                (KV.second.empty() ||
+                 std::memcmp(V->data(), KV.second.data(),
+                             V->size() * sizeof(double)) == 0);
+        }
+        Mismatches += !Ok;
+        if (St) {
+          Hits += St->TestMemoHits;
+          Misses += St->TestMemoMisses;
+        }
+      }
+    });
+  for (std::thread &T : Ts)
+    T.join();
+  EXPECT_EQ(Mismatches.load(), 0u);
+  EXPECT_EQ(Hits.load() + Misses.load(), uint64_t{Callers * PerCaller});
 }
 
 } // namespace

@@ -7,16 +7,20 @@
 //  - the computed classification must agree with the paper's category,
 //  - hybrid parallel execution must produce the same memory state as
 //    sequential execution (with reductions compared under a tolerance),
+//  - an execution whose runtime-test verdict comes from the prepared
+//    loop's memo must be indistinguishable from a first execution,
 //  - the static-only baseline (commercial-compiler proxy) must never
 //    parallelize the runtime-test loops.
 //
 //===----------------------------------------------------------------------===//
 
+#include "session/Session.h"
 #include "suite/Suite.h"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 using namespace halo;
 using namespace halo::suite;
@@ -146,6 +150,105 @@ TEST_P(SuiteLoopTest, ParallelExecutionMatchesSequential) {
     EXPECT_TRUE(Stats.RanParallel);
   if (Plan.Class == LoopClass::StaticSeq)
     EXPECT_FALSE(Stats.RanParallel && !Stats.UsedTLS);
+}
+
+TEST_P(SuiteLoopTest, TestMemoHitMatchesFirstExecution) {
+  // At the unit-test scale and at the paper-table scale: a session runs
+  // the loop twice on identical fresh datasets (miss, then hit); the hit
+  // must match a first execution against a fresh memo and fresh caches
+  // (what a fresh session runs) in its decisions, CascadeDepthUsed, CIV
+  // arrays and output memory, bit for bit.
+  LoopCase C = theCase();
+  for (int64_t Scale : {1, 8}) {
+    SCOPED_TRACE("scale " + std::to_string(Scale));
+    session::SessionOptions SO;
+    SO.Threads = 4;
+    session::Session S(C.B->prog(), C.B->usr(), SO);
+    rt::Memory PM;
+    sym::Bindings Probe;
+    C.B->Setup(PM, Probe, Scale);
+    analysis::AnalyzerOptions Opts;
+    Opts.Probe = &Probe;
+    Opts.HoistableContext = C.LS->Hoistable;
+    const session::PreparedLoop &PL = S.prepare(*C.LS->Loop, Opts);
+
+    rt::Memory MR;
+    sym::Bindings BR;
+    C.B->Setup(MR, BR, Scale);
+    rt::TestMemo RefMemo;
+    rt::HoistCache RefHoist;
+    rt::ExecContext RefCtx;
+    rt::ExecStats Ref = S.executor().runPlanned(
+        PL.Plan, MR, BR, S.pool(), &RefHoist, &PL.Cascades, &RefCtx,
+        &S.usrCompileCache(), &RefMemo);
+
+    rt::ExecStats Runs[2];
+    rt::Memory Ms[2];
+    sym::Bindings Bs[2];
+    for (int K = 0; K < 2; ++K) {
+      C.B->Setup(Ms[K], Bs[K], Scale);
+      std::optional<rt::ExecStats> St =
+          S.runPrepared(*C.LS->Loop, Ms[K], Bs[K]);
+      ASSERT_TRUE(St.has_value());
+      Runs[K] = *St;
+    }
+    const bool UsesMemo = Ref.TestMemoMisses == 1;
+    EXPECT_EQ(UsesMemo, PL.Plan.Class != LoopClass::StaticPar &&
+                            PL.Plan.Class != LoopClass::StaticSeq);
+    EXPECT_EQ(Runs[0].TestMemoMisses, Ref.TestMemoMisses);
+    EXPECT_EQ(Runs[1].TestMemoHits, Ref.TestMemoMisses);
+    EXPECT_EQ(Runs[1].TestMemoMisses, 0u);
+    if (UsesMemo) {
+      std::shared_ptr<const rt::TestMemo::Entry> Got = PL.Memo.current();
+      std::shared_ptr<const rt::TestMemo::Entry> Want = RefMemo.current();
+      ASSERT_NE(Got, nullptr);
+      ASSERT_NE(Want, nullptr);
+      EXPECT_EQ(Got->Verdict.AllOk, Want->Verdict.AllOk);
+      ASSERT_EQ(Got->Verdict.Decisions.size(),
+                Want->Verdict.Decisions.size());
+      for (const auto &KV : Want->Verdict.Decisions) {
+        auto It = Got->Verdict.Decisions.find(KV.first);
+        ASSERT_NE(It, Got->Verdict.Decisions.end());
+        EXPECT_EQ(It->second.Privatize, KV.second.Privatize);
+        EXPECT_EQ(It->second.UseSLV, KV.second.UseSLV);
+        EXPECT_EQ(It->second.UseDLV, KV.second.UseDLV);
+        EXPECT_EQ(It->second.ReductionPrivate, KV.second.ReductionPrivate);
+      }
+    }
+    for (const rt::ExecStats &St : Runs) {
+      EXPECT_EQ(St.RanParallel, Ref.RanParallel);
+      EXPECT_EQ(St.UsedTLS, Ref.UsedTLS);
+      EXPECT_EQ(St.TLSSucceeded, Ref.TLSSucceeded);
+      EXPECT_EQ(St.UsedExactTest, Ref.UsedExactTest);
+      EXPECT_EQ(St.CascadeDepthUsed, Ref.CascadeDepthUsed);
+    }
+    std::vector<sym::SymbolId> CivArrays;
+    for (const summary::CivDesc &D : PL.Plan.Civ.Civs)
+      CivArrays.push_back(D.EntryArr);
+    for (const summary::CivJoin &J : PL.Plan.Civ.Joins)
+      CivArrays.push_back(J.JoinArr);
+    for (int K = 0; K < 2; ++K) {
+      for (sym::SymbolId Id : CivArrays) {
+        const sym::ArrayBinding *Got = Bs[K].array(Id);
+        const sym::ArrayBinding *Want = BR.array(Id);
+        ASSERT_NE(Got, nullptr);
+        ASSERT_NE(Want, nullptr);
+        EXPECT_EQ(Got->Lo, Want->Lo);
+        EXPECT_EQ(Got->Vals, Want->Vals);
+      }
+      ASSERT_EQ(Ms[K].arrays().size(), MR.arrays().size());
+      for (const auto &KV : MR.arrays()) {
+        const std::vector<double> *V = Ms[K].find(KV.first);
+        ASSERT_NE(V, nullptr);
+        ASSERT_EQ(V->size(), KV.second.size());
+        EXPECT_TRUE(KV.second.empty() ||
+                    std::memcmp(V->data(), KV.second.data(),
+                                V->size() * sizeof(double)) == 0)
+            << "array " << C.B->sym().symbolInfo(KV.first).Name
+            << (K ? " (memo hit)" : " (memo miss)");
+      }
+    }
+  }
 }
 
 TEST_P(SuiteLoopTest, StaticOnlyBaselineNeverUsesPredicates) {

@@ -2,15 +2,43 @@
 """CI sanity check for the machine-readable RTov benchmark record.
 
 bench_rtov_overhead writes BENCH_rtov.json (per-section median ns/exec
-plus speedup ratios) so the perf trajectory is trackable across PRs. This
-script fails the job if the record is malformed, if the block-vectorized
-tier regressed to slower than the scalar bytecode on the N=1e6 LoopAll
-section or on the USR gated-recurrence sweep, or if the governor stopped
-routing through the block tier at all. Stdlib only.
+plus speedup ratios, and the per-benchmark RTov table) so the perf
+trajectory is trackable across PRs. This script fails the job if the
+record is malformed, if the block-vectorized tier regressed to slower
+than the scalar bytecode on the N=1e6 LoopAll section or on the USR
+gated-recurrence sweep, if the governor stopped routing through the
+block tier at all, if a benchmark's steady-state RTov exceeds its
+ceiling, or if the RTov table saw no runtime-test memo hit. Stdlib only.
 """
 
 import json
 import sys
+
+
+# Steady-state RTov ceilings (% of parallel runtime) per benchmark of the
+# RTov table: three times the highest of two measurements (4-core x86-64
+# VM, RelWithDebInfo; the steady state, where the runtime-test memo turns
+# every test into a lookup), rounded up to 0.5, and at least 1.5. Before
+# the memo, apsi, gromacs, track, spec77, calculix, dyfesm and trfd sat
+# at 5-55%. Only ever tighten these.
+RTOV_STEADY_CEILING_PCT = {
+    "apsi": 2.5,
+    "arc2d": 1.5,
+    "bdna": 1.5,
+    "calculix": 1.5,
+    "dyfesm": 1.5,
+    "flo52": 1.5,
+    "gromacs": 6.0,
+    "mdg": 1.5,
+    "nasa7": 1.5,
+    "ocean": 1.5,
+    "qcd": 1.5,
+    "spec77": 3.0,
+    "track": 4.0,
+    "trfd": 1.5,
+    "wupwise": 1.5,
+    "zeusmp": 1.5,
+}
 
 
 def fail(msg: str) -> None:
@@ -27,7 +55,8 @@ def main() -> None:
         fail(f"cannot read {path}: {e}")
 
     for sec in ("loopall_n1e6", "session_reuse_n256", "usr_oind_n2048",
-                "usr_gate_sweep_n1e6"):
+                "usr_gate_sweep_n1e6", "rtov_steady_pct", "rtov_first_pct",
+                "rtov_test_memo"):
         if sec not in doc:
             fail(f"missing section {sec!r}")
 
@@ -45,9 +74,21 @@ def main() -> None:
     if gs["block_ns_per_exec"] >= gs["scalar_ns_per_exec"]:
         fail("batched gate sweep slower than the scalar sweep")
 
+    steady = doc["rtov_steady_pct"]
+    for bench, ceiling in sorted(RTOV_STEADY_CEILING_PCT.items()):
+        if bench not in steady:
+            fail(f"RTov table lacks {bench!r}")
+        if steady[bench] > ceiling:
+            fail(f"{bench}: steady-state RTov {steady[bench]:.2f}% above "
+                 f"its {ceiling:.2f}% ceiling")
+    if doc["rtov_test_memo"]["hits"] < 1:
+        fail("the RTov table saw no runtime-test memo hit")
+
     print("block tier vs scalar: "
           f"{la['speedup_block_vs_scalar']:.2f}x (LoopAll N=1e6), "
-          f"{gs['speedup_block_vs_scalar']:.2f}x (USR gate sweep)")
+          f"{gs['speedup_block_vs_scalar']:.2f}x (USR gate sweep); "
+          f"steady RTov within every ceiling, "
+          f"{doc['rtov_test_memo']['hits']:.0f} test-memo hits")
 
 
 if __name__ == "__main__":
