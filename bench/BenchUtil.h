@@ -50,9 +50,8 @@ struct BenchTiming {
   /// compiled/interpreted split).
   uint64_t CompiledPredEvals = 0;
   uint64_t InterpPredEvals = 0;
-  /// Frame-pool effectiveness across the best repetition.
+  /// Pooled-frame binds across the best repetition.
   uint64_t FrameBinds = 0;
-  uint64_t FrameRebindsSkipped = 0;
   /// Exact-test (HOIST-USR) evaluations by engine, and the enumeration
   /// work the compiled interval-run engine avoided.
   uint64_t CompiledUSREvals = 0;
@@ -126,7 +125,7 @@ inline BenchTiming timeBenchmark(suite::Benchmark &B, unsigned Threads,
       double T0 = nowSeconds();
       double Ov = 0;
       bool TLS = false;
-      uint64_t Compiled = 0, Interp = 0, Binds = 0, Skips = 0;
+      uint64_t Compiled = 0, Interp = 0, Binds = 0;
       uint64_t UsrC = 0, UsrI = 0, UsrAvoided = 0;
       for (const suite::LoopSpec &LS : B.Loops) {
         rt::ExecStats St = S.run(*LS.Loop, M, Bd);
@@ -136,7 +135,6 @@ inline BenchTiming timeBenchmark(suite::Benchmark &B, unsigned Threads,
         Compiled += St.CompiledPredEvals;
         Interp += St.InterpPredEvals;
         Binds += St.FrameBinds;
-        Skips += St.FrameRebindsSkipped;
         UsrC += St.CompiledUSREvals;
         UsrI += St.InterpUSREvals;
         UsrAvoided += St.USRPointsAvoided;
@@ -156,7 +154,6 @@ inline BenchTiming timeBenchmark(suite::Benchmark &B, unsigned Threads,
         Out.CompiledPredEvals = Compiled;
         Out.InterpPredEvals = Interp;
         Out.FrameBinds = Binds;
-        Out.FrameRebindsSkipped = Skips;
         Out.CompiledUSREvals = UsrC;
         Out.InterpUSREvals = UsrI;
         Out.USRPointsAvoided = UsrAvoided;

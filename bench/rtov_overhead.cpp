@@ -9,8 +9,8 @@
 // Three sections:
 //  1. a micro-benchmark of one O(N) cascade stage at N = 1e6 comparing the
 //     tree-walking interpreter against the compiled bytecode evaluator
-//     (serial and chunked-parallel), the direct measure of the
-//     compile-once/run-many win;
+//     (serial and chunked-parallel at 2 and 4 threads), the direct measure
+//     of the compile-once/run-many win;
 //  2. the analyze-once / execute-many benchmark: the same plan executed
 //     repeatedly through halo::Session, reporting 1st-execution vs
 //     steady-state per-execution predicate overhead (the steady state is
@@ -110,8 +110,8 @@ void microBench() {
   // Randomized first-failure parity, aborting: plant a violation (false)
   // and/or a truncation (the IB(i+1) read at the new end goes OOB:
   // conservative unknown) at random iterations. The OUTCOME encodes
-  // which iteration decided first — interpreter, scalar bytecode and
-  // block tier must agree bit for bit, serial and chunked-parallel.
+  // which iteration decided first — interpreter and bytecode must agree
+  // bit for bit, serial and chunked-parallel.
   {
     ThreadPool Pool(4);
     uint64_t Seed = 0x5eedULL;
@@ -121,17 +121,14 @@ void microBench() {
     };
     for (int T = 0; T < 32; ++T) {
       sym::ArrayBinding A2 = A;
-      if (Next() % 2) // False lane: IB(k) > IB(k+1) at iteration k.
+      if (Next() % 2) // False at iteration k: IB(k) > IB(k+1).
         A2.Vals[1 + Next() % static_cast<uint64_t>(N - 2)] = -1;
-      if (Next() % 2) // Poison lane: reads past the new end are OOB.
+      if (Next() % 2) // Unknown: reads past the new end are OOB.
         A2.Vals.resize(1 + Next() % static_cast<uint64_t>(N - 1));
       sym::Bindings B2 = B;
       B2.setArray(IB, A2);
       auto Ref = pdag::tryEvalPred(Stage, B2);
-      if (CP->eval(B2, nullptr, pdag::BlockEval::Off) != Ref ||
-          CP->eval(B2, nullptr, pdag::BlockEval::Force) != Ref ||
-          CP->evalParallel(B2, Pool, nullptr, 4096, nullptr,
-                           pdag::BlockEval::Force) != Ref)
+      if (CP->eval(B2) != Ref || CP->evalParallel(B2, Pool) != Ref)
         std::abort(); // First-failure parity violated.
     }
   }
@@ -148,44 +145,21 @@ void microBench() {
   double Scalar = medianOf(Reps, [&] {
     ScalStats = pdag::EvalStats();
     double T0 = nowSeconds();
-    bool R = CP->eval(B, &ScalStats, pdag::BlockEval::Off).value_or(false);
+    bool R = CP->eval(B, &ScalStats).value_or(false);
     if (!R)
       std::abort();
     return nowSeconds() - T0;
   });
-  pdag::EvalStats BlkStats;
-  double Block = medianOf(Reps, [&] {
-    BlkStats = pdag::EvalStats();
-    double T0 = nowSeconds();
-    bool R = CP->eval(B, &BlkStats, pdag::BlockEval::Force).value_or(false);
-    if (!R)
-      std::abort();
-    return nowSeconds() - T0;
-  });
-  if (ScalStats.BlockEvals != 0 || BlkStats.BlockEvals == 0)
-    std::abort(); // The tier toggle must actually route.
 
   std::printf("=== Compiled cascade stage, O(N) at N=1e6 (median of %d) ===\n",
               Reps);
-  std::printf("%-22s %10s %9s %10s %8s %9s %9s\n", "EVALUATOR", "ms",
-              "ns/iter", "speedup", "blockEv", "scalarEv", "poisoned");
-  std::printf("%-22s %10.2f %9.2f %10s %8s %9s %9s\n", "interpreter",
-              1e3 * Interp, 1e9 * Interp / N, "1.00x", "-", "-", "-");
-  std::printf("%-22s %10.2f %9.2f %9.2fx %8llu %9llu %9llu\n",
-              "compiled scalar, 1t", 1e3 * Scalar, 1e9 * Scalar / N,
-              Interp / Scalar,
-              static_cast<unsigned long long>(ScalStats.BlockEvals),
-              static_cast<unsigned long long>(ScalStats.ScalarEvals),
-              static_cast<unsigned long long>(ScalStats.LanesPoisoned));
-  std::printf("%-22s %10.2f %9.2f %9.2fx %8llu %9llu %9llu\n",
-              "compiled block, 1t", 1e3 * Block, 1e9 * Block / N,
-              Interp / Block,
-              static_cast<unsigned long long>(BlkStats.BlockEvals),
-              static_cast<unsigned long long>(BlkStats.ScalarEvals),
-              static_cast<unsigned long long>(BlkStats.LanesPoisoned));
-  std::printf("block tier vs scalar bytecode (1 thread): %.2fx\n",
-              Scalar / Block);
-  double Par4 = 0;
+  std::printf("%-22s %10s %9s %10s\n", "EVALUATOR", "ms", "ns/iter",
+              "speedup");
+  std::printf("%-22s %10.2f %9.2f %10s\n", "interpreter", 1e3 * Interp,
+              1e9 * Interp / N, "1.00x");
+  std::printf("%-22s %10.2f %9.2f %9.2fx\n", "compiled scalar, 1t",
+              1e3 * Scalar, 1e9 * Scalar / N, Interp / Scalar);
+  auto &J = GJson["loopall_n1e6"];
   for (unsigned T : {2u, 4u}) {
     ThreadPool Pool(T);
     double Par = medianOf(Reps, [&] {
@@ -195,24 +169,16 @@ void microBench() {
         std::abort();
       return nowSeconds() - T0;
     });
-    if (T == 4)
-      Par4 = Par;
-    std::printf("compiled block, %ut    %10.2f %9.2f %9.2fx\n", T, 1e3 * Par,
+    J["scalar_par" + std::to_string(T) + "_ns_per_exec"] = 1e9 * Par;
+    std::printf("compiled scalar, %ut    %10.2f %9.2f %9.2fx\n", T, 1e3 * Par,
                 1e9 * Par / N, Interp / Par);
   }
   std::printf("bytecode=%zu instrs, memo-hits/eval=%llu\n\n", CP->codeSize(),
-              static_cast<unsigned long long>(BlkStats.MemoHits));
+              static_cast<unsigned long long>(ScalStats.MemoHits));
 
-  auto &J = GJson["loopall_n1e6"];
   J["interp_ns_per_exec"] = 1e9 * Interp;
   J["scalar_ns_per_exec"] = 1e9 * Scalar;
-  J["block_ns_per_exec"] = 1e9 * Block;
-  J["block_par4_ns_per_exec"] = 1e9 * Par4;
-  J["speedup_block_vs_scalar"] = Scalar / Block;
-  J["speedup_block_vs_interp"] = Interp / Block;
-  J["block_evals"] = static_cast<double>(BlkStats.BlockEvals);
-  J["scalar_evals"] = static_cast<double>(ScalStats.ScalarEvals);
-  J["lanes_poisoned"] = static_cast<double>(BlkStats.LanesPoisoned);
+  J["speedup_scalar_vs_interp"] = Interp / Scalar;
 }
 
 /// The execute-many fixture: one loop writing three symbolically-strided
@@ -291,8 +257,7 @@ struct ReuseFixture {
 /// every cascade stage and pays frame binding (and worker-frame copies
 /// under a multi-thread pool); from the 2nd on, the bindings are
 /// unchanged, so the prepared loop's TestMemo answers with the first
-/// execution's verdict and no stage is evaluated (binds and reuses read
-/// 0).
+/// execution's verdict and no stage is evaluated (binds read 0).
 void sessionReuseBench() {
   ReuseFixture F;
   const int KFresh = 50;   // Fresh sessions averaged for the 1st-exec column.
@@ -301,9 +266,8 @@ void sessionReuseBench() {
   std::printf("=== Analyze-once / execute-many: per-execution predicate "
               "overhead (N=%lld) ===\n",
               static_cast<long long>(F.N));
-  std::printf("%-8s %-14s %-14s %-9s %-8s %-8s %s\n", "THREADS",
-              "1st-exec(us)", "steady(us)", "speedup", "binds", "reuses",
-              "parity");
+  std::printf("%-8s %-14s %-14s %-9s %-8s %s\n", "THREADS", "1st-exec(us)",
+              "steady(us)", "speedup", "binds", "parity");
 
   for (unsigned Threads : {1u, 4u}) {
     // Reference: the tree-walking interpreter path over the same data and
@@ -334,14 +298,13 @@ void sessionReuseBench() {
     sym::Bindings B;
     F.setup(M, B);
     double SteadySum = 0;
-    uint64_t Binds = 0, Reuses = 0;
+    uint64_t Binds = 0;
     bool AllParallel = true;
     for (int E = 0; E < MSteady; ++E) {
       rt::ExecStats St = S.run(*F.L, M, B);
       if (E > 0) {
         SteadySum += St.PredicateSeconds;
         Binds += St.FrameBinds;
-        Reuses += St.FrameRebindsSkipped;
       }
       AllParallel &= St.RanParallel;
     }
@@ -363,10 +326,9 @@ void sessionReuseBench() {
     auto &J = GJson["session_reuse_n256"];
     J["first_exec_ns_t" + std::to_string(Threads)] = 1e3 * FirstUs;
     J["steady_ns_t" + std::to_string(Threads)] = 1e3 * SteadyUs;
-    std::printf("%-8u %-14.2f %-14.2f %6.2fx   %-8llu %-8llu %s\n", Threads,
+    std::printf("%-8u %-14.2f %-14.2f %6.2fx   %-8llu %s\n", Threads,
                 FirstUs, SteadyUs, FirstUs / SteadyUs,
                 static_cast<unsigned long long>(Binds),
-                static_cast<unsigned long long>(Reuses),
                 Parity ? "exact" : "MISMATCH");
     if (!Parity)
       std::abort();
@@ -416,10 +378,9 @@ void usrMicroBench() {
   double Best = 1e30;
   std::optional<bool> Ans;
   for (int R = 0; R < 3; ++R) {
-    sym::Bindings BC = B; // Fresh stamp per repetition: no frame reuse.
     St = usr::USREvalStats();
     T0 = nowSeconds();
-    Ans = CU->evalEmptyPooled(PF, BC, 1u << 22, &St);
+    Ans = CU->evalEmptyPooled(PF, B, 1u << 22, &St);
     Best = std::min(Best, nowSeconds() - T0);
   }
   if (!InterpAns || InterpAns != Ans)
@@ -442,83 +403,12 @@ void usrMicroBench() {
   J["speedup_compiled_vs_interp"] = Interp / Best;
 }
 
-/// The USR half of the block tier: a gated root recurrence whose gate is
-/// probed once per iteration — batched W iterations per dispatch when
-/// BlockGates is on, one predicate evaluation per iteration when off.
-/// The gate is false everywhere (empty result), so the emptiness sweep
-/// pays the full N gate probes: the directly-measured gate-batching win.
-/// Aborts if batched and scalar sweeps (or the interpreter) disagree.
-void usrGateSweepBench() {
-  sym::Context Sym;
-  pdag::PredContext P(Sym);
-  usr::USRContext U(Sym, P);
-  const int64_t N = 1000000;
-  sym::SymbolId I = Sym.symbol("i", 1);
-  sym::SymbolId IB = Sym.symbol("IB", 0, /*IsArray=*/true);
-  const usr::USR *Body =
-      U.gate(P.gt(Sym.arrayRef(IB, Sym.symRef(I)), Sym.intConst(1 << 30)),
-             U.interval(Sym.symRef(I), Sym.intConst(1)));
-  const usr::USR *R = U.recur(I, Sym.intConst(1), Sym.symRef("N"), Body);
-
-  sym::Bindings B;
-  B.setScalar(Sym.symbol("N"), N);
-  sym::ArrayBinding A;
-  A.Lo = 1;
-  A.Vals.resize(static_cast<size_t>(N));
-  for (int64_t X = 0; X < N; ++X)
-    A.Vals[static_cast<size_t>(X)] = X % 4096; // Never clears the gate.
-  B.setArray(IB, A);
-
-  auto CU = usr::CompiledUSR::compile(R, Sym);
-  const int Reps = 5;
-  usr::USREvalStats StB, StS;
-  std::optional<bool> AnsB, AnsS;
-  double Block = medianOf(Reps, [&] {
-    StB = usr::USREvalStats();
-    double T0 = nowSeconds();
-    AnsB = CU->evalEmpty(B, 1u << 22, &StB, /*BlockGates=*/true);
-    return nowSeconds() - T0;
-  });
-  double Scalar = medianOf(Reps, [&] {
-    StS = usr::USREvalStats();
-    double T0 = nowSeconds();
-    AnsS = CU->evalEmpty(B, 1u << 22, &StS, /*BlockGates=*/false);
-    return nowSeconds() - T0;
-  });
-  sym::Bindings BI = B;
-  if (AnsB != AnsS || AnsB != usr::evalUSREmpty(R, BI) ||
-      AnsB != std::optional<bool>(true))
-    std::abort(); // Batched/scalar/interpreted sweeps must agree.
-  if (StB.GateBlockEvals == 0 || StS.GateBlockEvals != 0)
-    std::abort(); // The BlockGates toggle must actually route.
-
-  std::printf("=== USR gated recurrence sweep at N=1e6 (median of %d) ===\n",
-              Reps);
-  std::printf("%-26s %10s %9s %10s %9s\n", "GATE SWEEP", "ms", "ns/iter",
-              "speedup", "gateEv");
-  std::printf("%-26s %10.2f %9.2f %10s %9llu\n", "scalar (1/iteration)",
-              1e3 * Scalar, 1e9 * Scalar / N, "1.00x",
-              static_cast<unsigned long long>(StS.GateScalarEvals));
-  std::printf("%-26s %10.2f %9.2f %9.2fx %9llu\n", "batched (W/dispatch)",
-              1e3 * Block, 1e9 * Block / N, Scalar / Block,
-              static_cast<unsigned long long>(StB.GateBlockEvals));
-  std::printf("\n");
-
-  auto &J = GJson["usr_gate_sweep_n1e6"];
-  J["scalar_ns_per_exec"] = 1e9 * Scalar;
-  J["block_ns_per_exec"] = 1e9 * Block;
-  J["speedup_block_vs_scalar"] = Scalar / Block;
-  J["gate_block_evals"] = static_cast<double>(StB.GateBlockEvals);
-  J["gate_lanes_poisoned"] = static_cast<double>(StB.GateLanesPoisoned);
-}
-
 } // namespace
 
 int main() {
   microBench();
   sessionReuseBench();
   usrMicroBench();
-  usrGateSweepBench();
 
   std::printf("=== Runtime-test overhead (RTov, %% of parallel runtime) ===\n");
   std::printf("%-12s %-10s %-10s %-11s %-12s %-10s %-6s %-6s %-12s %s\n",

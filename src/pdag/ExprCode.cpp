@@ -357,182 +357,3 @@ pdag::runExprCode(const ExprInstr *Code, uint32_t Begin, uint32_t End,
   assert(SP == 1 && "expression code must leave one value");
   return S[0];
 }
-
-uint32_t pdag::runExprCodeBlock(const ExprInstr *Code, uint32_t Begin,
-                                uint32_t End, const int64_t *Scalars,
-                                const uint8_t *Bound,
-                                const sym::ArrayBinding *const *Arrays,
-                                uint32_t VarSlot, int64_t VarBase,
-                                unsigned Cnt, int64_t *LaneStack,
-                                int64_t *Out) {
-  constexpr unsigned W = ExprBlockWidth;
-  assert(Cnt >= 1 && Cnt <= W && "block width out of range");
-  const uint32_t AllFail =
-      Cnt >= 32 ? ~0u : ((1u << Cnt) - 1u); // Cnt <= W == 16 in practice
-  int64_t *S = LaneStack;
-  size_t SP = 0;
-  uint32_t Fail = 0;
-  for (uint32_t Ip = Begin; Ip != End; ++Ip) {
-    const ExprInstr &I = Code[Ip];
-    switch (I.Opcode) {
-    case ExprInstr::Op::Const: {
-      int64_t *R = S + SP++ * W;
-      for (unsigned L = 0; L < Cnt; ++L)
-        R[L] = I.Imm;
-      break;
-    }
-    case ExprInstr::Op::Scalar: {
-      int64_t *R = S + SP++ * W;
-      if (I.Slot == VarSlot) {
-        // The loop variable: each lane gets its own consecutive value.
-        for (unsigned L = 0; L < Cnt; ++L)
-          R[L] = VarBase + static_cast<int64_t>(L);
-      } else if (!Bound[I.Slot]) {
-        // Uniform unbound scalar poisons every lane identically.
-        goto AllLanesPoisoned;
-      } else {
-        const int64_t V = Scalars[I.Slot];
-        for (unsigned L = 0; L < Cnt; ++L)
-          R[L] = V;
-      }
-      break;
-    }
-    case ExprInstr::Op::ArrayLoad: {
-      // General pop-index form: per-lane bounds checks. Failed lanes are
-      // forced to 0 so downstream arithmetic never sees garbage.
-      const sym::ArrayBinding *A = Arrays[I.Slot];
-      int64_t *R = S + (SP - 1) * W;
-      for (unsigned L = 0; L < Cnt; ++L) {
-        const uint32_t Bit = 1u << L;
-        if ((Fail & Bit) || !A || !A->inBounds(R[L])) {
-          Fail |= Bit;
-          R[L] = 0;
-        } else {
-          R[L] = A->at(R[L]);
-        }
-      }
-      if (Fail == AllFail)
-        goto AllLanesPoisoned;
-      break;
-    }
-    case ExprInstr::Op::ArrayLoadOff: {
-      const sym::ArrayBinding *A = Arrays[I.Slot];
-      const uint32_t IdxSlot = I.loadOffIdxSlot();
-      const int64_t Off = I.loadOffDelta();
-      int64_t *R = S + SP++ * W;
-      if (IdxSlot == VarSlot) {
-        // Consecutive indices VarBase+Off .. VarBase+Off+Cnt-1: one range
-        // precheck covers the whole block, and the loads are contiguous.
-        const int64_t Base = VarBase + Off;
-        if (A && A->inBounds(Base) &&
-            A->inBounds(Base + static_cast<int64_t>(Cnt) - 1)) {
-          const int64_t *Src = A->Vals.data() + (Base - A->Lo);
-          for (unsigned L = 0; L < Cnt; ++L)
-            R[L] = Src[L];
-        } else {
-          // Block straddles an array edge (or the array is unbound):
-          // per-lane checks poison exactly the out-of-range lanes.
-          for (unsigned L = 0; L < Cnt; ++L) {
-            const int64_t Idx = Base + static_cast<int64_t>(L);
-            if (!A || !A->inBounds(Idx)) {
-              Fail |= 1u << L;
-              R[L] = 0;
-            } else {
-              R[L] = A->at(Idx);
-            }
-          }
-          if (Fail == AllFail)
-            goto AllLanesPoisoned;
-        }
-      } else {
-        // Loop-invariant subscript: one check, one load, broadcast.
-        if (!Bound[IdxSlot])
-          goto AllLanesPoisoned;
-        const int64_t Idx = Scalars[IdxSlot] + Off;
-        if (!A || !A->inBounds(Idx))
-          goto AllLanesPoisoned;
-        const int64_t V = A->at(Idx);
-        for (unsigned L = 0; L < Cnt; ++L)
-          R[L] = V;
-      }
-      break;
-    }
-    case ExprInstr::Op::Min: {
-      const int64_t *B2 = S + --SP * W;
-      int64_t *R = S + (SP - 1) * W;
-      for (unsigned L = 0; L < Cnt; ++L)
-        R[L] = std::min(R[L], B2[L]);
-      break;
-    }
-    case ExprInstr::Op::Max: {
-      const int64_t *B2 = S + --SP * W;
-      int64_t *R = S + (SP - 1) * W;
-      for (unsigned L = 0; L < Cnt; ++L)
-        R[L] = std::max(R[L], B2[L]);
-      break;
-    }
-    case ExprInstr::Op::FloorDiv: {
-      int64_t *R = S + (SP - 1) * W;
-      for (unsigned L = 0; L < Cnt; ++L)
-        R[L] = floorDivInt(R[L], I.Imm);
-      break;
-    }
-    case ExprInstr::Op::Mod: {
-      int64_t *R = S + (SP - 1) * W;
-      for (unsigned L = 0; L < Cnt; ++L)
-        R[L] = R[L] - floorDivInt(R[L], I.Imm) * I.Imm;
-      break;
-    }
-    case ExprInstr::Op::Mul: {
-      const int64_t *B2 = S + --SP * W;
-      int64_t *R = S + (SP - 1) * W;
-      for (unsigned L = 0; L < Cnt; ++L)
-        R[L] *= B2[L];
-      break;
-    }
-    case ExprInstr::Op::MulConst: {
-      int64_t *R = S + (SP - 1) * W;
-      for (unsigned L = 0; L < Cnt; ++L)
-        R[L] *= I.Imm;
-      break;
-    }
-    case ExprInstr::Op::AddConst: {
-      int64_t *R = S + (SP - 1) * W;
-      for (unsigned L = 0; L < Cnt; ++L)
-        R[L] += I.Imm;
-      break;
-    }
-    case ExprInstr::Op::MulConstAdd: {
-      const int64_t *B2 = S + --SP * W;
-      int64_t *R = S + (SP - 1) * W;
-      // +-1 coefficients (the a-b difference shape every compare lowers
-      // to) skip the lane multiply: 64-bit vector multiplies are several
-      // times the cost of add/sub on common SIMD ISAs.
-      if (I.Imm == -1) {
-        for (unsigned L = 0; L < Cnt; ++L)
-          R[L] -= B2[L];
-      } else if (I.Imm == 1) {
-        for (unsigned L = 0; L < Cnt; ++L)
-          R[L] += B2[L];
-      } else {
-        for (unsigned L = 0; L < Cnt; ++L)
-          R[L] += I.Imm * B2[L];
-      }
-      break;
-    }
-    }
-  }
-  assert(SP == 1 && "expression code must leave one value");
-  for (unsigned L = 0; L < Cnt; ++L)
-    Out[L] = S[L];
-  return Fail;
-
-AllLanesPoisoned:
-  // Every lane is poisoned: the results can never matter, so skip the
-  // rest of the range (semantically a no-op; all lanes report fail). Only
-  // the fail-setting opcodes test for this, keeping the arithmetic ops'
-  // dispatch loop branch-free.
-  for (unsigned L = 0; L < Cnt; ++L)
-    Out[L] = 0;
-  return AllFail;
-}

@@ -23,11 +23,6 @@
 ///    it returns nullopt when an unbound scalar or out-of-bounds array
 ///    read decides the value (the same conservative contract as
 ///    sym::tryEval).
-///  - runExprCodeBlock is the block-vectorized tier: it evaluates one code
-///    range for up to ExprBlockWidth consecutive values of a designated
-///    loop-variable slot per dispatch, over a structure-of-arrays lane
-///    stack, with a per-lane fail mask standing in for the scalar path's
-///    nullopt (a poisoned lane degrades that lane only, not the block).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -45,13 +40,6 @@
 
 namespace halo {
 namespace pdag {
-
-/// Lane count of the block-vectorized evaluation tier: one
-/// runExprCodeBlock dispatch covers this many consecutive loop-variable
-/// values. 16 int64 lanes = two cache lines per stack row, wide enough to
-/// amortize dispatch and narrow enough that a mid-block failure wastes
-/// little work.
-inline constexpr unsigned ExprBlockWidth = 16;
 
 /// Lowering resource caps (the compile-tier guards; see docs/FUZZING.md).
 /// Expressions or predicates nested deeper than this are not lowered —
@@ -170,31 +158,6 @@ std::optional<int64_t> runExprCode(const ExprInstr *Code, uint32_t Begin,
                                    const uint8_t *Bound,
                                    const sym::ArrayBinding *const *Arrays,
                                    int64_t *Stack);
-
-/// Block-vectorized tier: evaluates code range [Begin, End) for the \p Cnt
-/// (1..ExprBlockWidth) consecutive loop-variable values
-/// VarBase, VarBase+1, ..., VarBase+Cnt-1 in one dispatch. Scalar slot
-/// \p VarSlot reads lane values directly (its frame slot is not consulted);
-/// every other slot is uniform across lanes. \p LaneStack is the
-/// structure-of-arrays stack — the caller must provide
-/// depth * ExprBlockWidth slots, rows of ExprBlockWidth lanes.
-///
-/// Returns the per-lane fail mask (bit L set = lane L hit an unbound
-/// scalar or out-of-bounds read and its Out value is meaningless — the
-/// scalar path would have returned nullopt at iteration VarBase+L). Failed
-/// lanes carry 0 on the stack so later arithmetic stays well-defined; the
-/// mask is sticky for the whole range. \p Out receives the Cnt lane
-/// results.
-///
-/// Fast paths: an ArrayLoadOff whose index scalar is \p VarSlot reads Cnt
-/// consecutive elements, so one whole-block range precheck (two compares)
-/// replaces the per-lane bounds checks and the loads become a contiguous
-/// copy the compiler vectorizes.
-uint32_t runExprCodeBlock(const ExprInstr *Code, uint32_t Begin, uint32_t End,
-                          const int64_t *Scalars, const uint8_t *Bound,
-                          const sym::ArrayBinding *const *Arrays,
-                          uint32_t VarSlot, int64_t VarBase, unsigned Cnt,
-                          int64_t *LaneStack, int64_t *Out);
 
 } // namespace pdag
 } // namespace halo

@@ -12,7 +12,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cassert>
-#include <cstring>
 #include <deque>
 #include <unordered_map>
 #include <unordered_set>
@@ -188,7 +187,6 @@ private:
       SubEntry[P] = Entry;
       compilePred(P, /*AtRoot=*/false);
       emitP(PredInstr::Op::Ret);
-      SubRange[Entry] = here();
     }
     InSubBody = false;
     for (const auto &[Ip, P] : CallSites)
@@ -253,105 +251,11 @@ private:
     return D;
   }
 
-  /// True when code range [Begin, End) can run the block walker: no loop
-  /// opcodes, transitively through CallSub targets. MemoCheck regions are
-  /// skipped — the walker never executes them per lane (a memo miss runs
-  /// the region scalar, which handles any opcode), so a loop-invariant
-  /// sub-loop does not break blockability.
-  bool rangeBlockable(uint32_t Begin, uint32_t End) {
-    for (uint32_t Ip = Begin; Ip < End; ++Ip) {
-      const PredInstr &I = Out.PCode[Ip];
-      switch (I.Opcode) {
-      case PredInstr::Op::LoopBegin:
-      case PredInstr::Op::LoopStep:
-        return false;
-      case PredInstr::Op::MemoCheck:
-        Ip = I.B - 1; // Skip the memoized region (jumped over per lane).
-        break;
-      case PredInstr::Op::CallSub: {
-        auto Memo = SubBlockable.find(I.A);
-        bool Ok;
-        if (Memo != SubBlockable.end()) {
-          Ok = Memo->second;
-        } else {
-          // Seed optimistically: the DAG is acyclic, so recursion through
-          // the same entry cannot occur; the seed only guards reentry.
-          SubBlockable[I.A] = true;
-          Ok = rangeBlockable(I.A, SubRange.at(I.A));
-          SubBlockable[I.A] = Ok;
-        }
-        if (!Ok)
-          return false;
-        break;
-      }
-      default:
-        break;
-      }
-    }
-    return true;
-  }
-
-  /// True when expression range [Begin, End) loads an array through the
-  /// loop variable (the shape the block tier's fused gathers accelerate):
-  /// a var-indexed fused load, or a general ArrayLoad downstream of a
-  /// var-slot read (conservative — the var feeds *some* index upstream).
-  bool exprRangeHasVarLoad(uint32_t Begin, uint32_t End,
-                           uint32_t VarSlot) const {
-    bool SawVar = false;
-    for (uint32_t Ip = Begin; Ip < End; ++Ip) {
-      const ExprInstr &I = Out.XCode[Ip];
-      if (I.Opcode == ExprInstr::Op::Scalar && I.Slot == VarSlot)
-        SawVar = true;
-      else if (I.Opcode == ExprInstr::Op::ArrayLoadOff &&
-               I.loadOffIdxSlot() == VarSlot)
-        return true;
-      else if (I.Opcode == ExprInstr::Op::ArrayLoad && SawVar)
-        return true;
-    }
-    return false;
-  }
-
-  /// Whether predicate range [Begin, End) (transitively through CallSub)
-  /// contains a leaf whose expression loads arrays through \p VarSlot.
-  bool rangeHasVarLoad(uint32_t Begin, uint32_t End, uint32_t VarSlot) const {
-    for (uint32_t Ip = Begin; Ip < End; ++Ip) {
-      const PredInstr &I = Out.PCode[Ip];
-      switch (I.Opcode) {
-      case PredInstr::Op::LeafCmp:
-        if (exprRangeHasVarLoad(I.A, I.B, VarSlot))
-          return true;
-        break;
-      case PredInstr::Op::LeafDivides:
-        if (exprRangeHasVarLoad(I.A, I.B, VarSlot) ||
-            exprRangeHasVarLoad(I.C, I.D, VarSlot))
-          return true;
-        break;
-      case PredInstr::Op::MemoCheck:
-        Ip = I.B - 1; // Memoized regions are loop-invariant by definition.
-        break;
-      case PredInstr::Op::CallSub:
-        if (rangeHasVarLoad(I.A, SubRange.at(I.A), VarSlot))
-          return true;
-        break;
-      default:
-        break;
-      }
-    }
-    return false;
-  }
-
-  /// Post-pass: exact stack depths (frames are sized from these) and the
-  /// block-tier compatibility flags.
+  /// Post-pass: exact stack depths (frames are sized from these).
   void finalize(const Pred *Root) {
     Out.XMaxDepth = XB.maxStackDepth();
     Out.PMaxDepth = predDepth(Root);
     Out.MaxLoopNest = loopNest(Root);
-    Out.MainBlockOk = rangeBlockable(0, Out.MainCodeEnd);
-    if (Out.RootLoop >= 0) {
-      const CompiledLoop &L = Out.Loops[static_cast<size_t>(Out.RootLoop)];
-      Out.BlockOk = rangeBlockable(L.BodyBegin, L.StepIp);
-      Out.BodyHasVarLoad = rangeHasVarLoad(L.BodyBegin, L.StepIp, L.VarSlot);
-    }
 #ifndef NDEBUG
     // Validate the exact expression-depth bound against a static
     // simulation of every referenced range (the satellite contract).
@@ -476,10 +380,6 @@ private:
   std::deque<const Pred *> PendingSubs;
   std::vector<std::pair<uint32_t, const Pred *>> CallSites;
   std::unordered_map<const Pred *, uint32_t> SubEntry;
-  /// Subroutine entry ip -> end ip (one past its Ret); finalize() walks
-  /// these for the block-compatibility scans.
-  std::unordered_map<uint32_t, uint32_t> SubRange;
-  std::unordered_map<uint32_t, bool> SubBlockable;
   std::unordered_map<const Pred *, uint32_t> DepthMemo;
   std::unordered_map<const Pred *, uint32_t> NestMemo;
 };
@@ -616,17 +516,10 @@ struct CompiledPred::Frame {
   };
   std::vector<LoopState> LoopStack;
   std::vector<uint32_t> RetStack;
-  /// Block-tier lane state (sized only for block-capable predicates):
-  /// structure-of-arrays stacks of PredBlockWidth lanes per row, plus a
-  /// separate return stack so a memo miss's scalar run (which uses
-  /// RetStack) cannot clobber an in-flight block call chain.
-  std::vector<uint8_t> BTri;
-  std::vector<int64_t> BXStack;
-  std::vector<uint32_t> BRet;
   EvalStats Stats;
 };
 
-bool CompiledPred::bindFrame(Frame &F, const sym::Bindings &B) const {
+void CompiledPred::bindFrame(Frame &F, const sym::Bindings &B) const {
   F.ScalarVals.assign(ScalarSlots.size(), 0);
   F.ScalarBound.assign(ScalarSlots.size(), 0);
   for (size_t I = 0; I < ScalarSlots.size(); ++I)
@@ -645,12 +538,6 @@ bool CompiledPred::bindFrame(Frame &F, const sym::Bindings &B) const {
   F.PStack.resize(PMaxDepth);
   F.LoopStack.resize(MaxLoopNest);
   F.RetStack.resize(NumSubs);
-  if (BlockOk || MainBlockOk) {
-    F.BTri.resize(static_cast<size_t>(PMaxDepth) * PredBlockWidth);
-    F.BXStack.resize(static_cast<size_t>(XMaxDepth) * PredBlockWidth);
-    F.BRet.resize(NumSubs);
-  }
-  return true;
 }
 
 std::optional<int64_t> CompiledPred::evalExpr(uint32_t Begin, uint32_t End,
@@ -800,210 +687,6 @@ uint8_t CompiledPred::run(uint32_t IpBegin, uint32_t IpEnd, Frame &F) const {
   return St[SP - 1];
 }
 
-//===----------------------------------------------------------------------===//
-// Block-vectorized tier
-//===----------------------------------------------------------------------===//
-
-void CompiledPred::runBodyBlock(uint32_t IpBegin, uint32_t IpEnd,
-                                uint32_t VarSlot, int64_t VarBase,
-                                unsigned Cnt, Frame &F, uint8_t *Out) const {
-  constexpr unsigned W = PredBlockWidth;
-  assert(Cnt >= 1 && Cnt <= W && "block width out of range");
-  uint8_t *St = F.BTri.data();
-  size_t SP = 0;
-  uint32_t *RetSt = F.BRet.data();
-  size_t RSP = 0;
-  const PredInstr *Code = PCode.data();
-  uint32_t Ip = IpBegin;
-  while (Ip != IpEnd) {
-    const PredInstr &I = Code[Ip];
-    switch (I.Opcode) {
-    case PredInstr::Op::PushBool: {
-      uint8_t *R = St + SP++ * W;
-      for (unsigned L = 0; L < Cnt; ++L)
-        R[L] = I.Aux;
-      ++Ip;
-      break;
-    }
-    case PredInstr::Op::LeafCmp: {
-      int64_t Vals[W];
-      const uint32_t FailM = runExprCodeBlock(
-          XCode.data(), I.A, I.B, F.ScalarVals.data(), F.ScalarBound.data(),
-          F.Arrays.data(), VarSlot, VarBase, Cnt, F.BXStack.data(), Vals);
-      uint8_t *R = St + SP++ * W;
-      switch (static_cast<CmpRel>(I.Aux)) {
-      case CmpRel::GE0:
-        for (unsigned L = 0; L < Cnt; ++L)
-          R[L] = Vals[L] >= 0 ? TriTrue : TriFalse;
-        break;
-      case CmpRel::EQ0:
-        for (unsigned L = 0; L < Cnt; ++L)
-          R[L] = Vals[L] == 0 ? TriTrue : TriFalse;
-        break;
-      case CmpRel::NE0:
-        for (unsigned L = 0; L < Cnt; ++L)
-          R[L] = Vals[L] != 0 ? TriTrue : TriFalse;
-        break;
-      }
-      if (FailM) {
-        // Poisoned lanes degrade — individually — to the scalar path's
-        // conservative-unknown result.
-        for (unsigned L = 0; L < Cnt; ++L)
-          if (FailM & (1u << L))
-            R[L] = TriUnknown;
-        const unsigned Poisoned =
-            static_cast<unsigned>(__builtin_popcount(FailM));
-        F.Stats.LanesPoisoned += Poisoned;
-        F.Stats.LeafEvals += Cnt - Poisoned;
-      } else {
-        F.Stats.LeafEvals += Cnt;
-      }
-      ++Ip;
-      break;
-    }
-    case PredInstr::Op::LeafDivides: {
-      int64_t DV[W], VV[W];
-      const uint32_t FailM =
-          runExprCodeBlock(XCode.data(), I.A, I.B, F.ScalarVals.data(),
-                           F.ScalarBound.data(), F.Arrays.data(), VarSlot,
-                           VarBase, Cnt, F.BXStack.data(), DV) |
-          runExprCodeBlock(XCode.data(), I.C, I.D, F.ScalarVals.data(),
-                           F.ScalarBound.data(), F.Arrays.data(), VarSlot,
-                           VarBase, Cnt, F.BXStack.data(), VV);
-      uint8_t *R = St + SP++ * W;
-      const bool Neg = I.Aux != 0;
-      for (unsigned L = 0; L < Cnt; ++L)
-        R[L] = dividesHolds(DV[L], VV[L], Neg) ? TriTrue : TriFalse;
-      if (FailM) {
-        for (unsigned L = 0; L < Cnt; ++L)
-          if (FailM & (1u << L))
-            R[L] = TriUnknown;
-        const unsigned Poisoned =
-            static_cast<unsigned>(__builtin_popcount(FailM));
-        F.Stats.LanesPoisoned += Poisoned;
-        F.Stats.LeafEvals += Cnt - Poisoned;
-      } else {
-        F.Stats.LeafEvals += Cnt;
-      }
-      ++Ip;
-      break;
-    }
-    case PredInstr::Op::AndStep: {
-      // No short-circuit jump: every child is folded per lane. Sound
-      // because the tri-state conjunction is dominance-monotone (false
-      // absorbs; unknown over true) and child evaluation is side-effect
-      // free, so evaluating children a scalar run would have skipped
-      // cannot change any lane's result. Branchless: with F=0, T=1, U=2,
-      // and(a,b) = min(a*b, 2) — 0 absorbs through the product, T*T=1,
-      // and any unknown makes the product 2 or 4.
-      const uint8_t *C = St + --SP * W;
-      uint8_t *Acc = St + (SP - 1) * W;
-      for (unsigned L = 0; L < Cnt; ++L) {
-        const uint8_t P = static_cast<uint8_t>(Acc[L] * C[L]);
-        Acc[L] = P > TriUnknown ? TriUnknown : P;
-      }
-      ++Ip;
-      break;
-    }
-    case PredInstr::Op::OrStep: {
-      // Branchless dual: true absorbs, else max picks unknown over false.
-      const uint8_t *C = St + --SP * W;
-      uint8_t *Acc = St + (SP - 1) * W;
-      for (unsigned L = 0; L < Cnt; ++L) {
-        const bool AnyTrue = Acc[L] == TriTrue || C[L] == TriTrue;
-        const uint8_t Mx = Acc[L] > C[L] ? Acc[L] : C[L];
-        Acc[L] = AnyTrue ? TriTrue : Mx;
-      }
-      ++Ip;
-      break;
-    }
-    case PredInstr::Op::MemoCheck: {
-      int8_t M = F.Memo[I.A];
-      if (M < 0) {
-        // First block to get here: the region is invariant in every
-        // enclosing loop variable (it never reads VarSlot), so one scalar
-        // run — which also executes the MemoStore — serves every lane.
-        // It runs on the scalar stacks (PStack/LoopStack/RetStack), which
-        // the block walker does not touch.
-        M = static_cast<int8_t>(run(Ip + 1, I.B, F));
-        assert(F.Memo[I.A] == M && "memo region must store its result");
-        // Lanes past the first are served from the fresh memo entry —
-        // count them as hits, matching the scalar path's per-iteration
-        // accounting.
-        F.Stats.MemoHits += Cnt - 1;
-      } else {
-        F.Stats.MemoHits += Cnt;
-      }
-      uint8_t *R = St + SP++ * W;
-      for (unsigned L = 0; L < Cnt; ++L)
-        R[L] = static_cast<uint8_t>(M);
-      Ip = I.B;
-      break;
-    }
-    case PredInstr::Op::MemoStore:
-      // Unreachable: MemoCheck always jumps past its region in block mode
-      // (the scalar run above executes the store).
-      assert(false && "MemoStore reached by block walker");
-      ++Ip;
-      break;
-    case PredInstr::Op::CallSub:
-      RetSt[RSP++] = Ip + 1;
-      Ip = I.A;
-      break;
-    case PredInstr::Op::Ret:
-      Ip = RetSt[--RSP];
-      break;
-    case PredInstr::Op::LoopBegin:
-    case PredInstr::Op::LoopStep:
-      halo_unreachable("loop opcode in block-compatible range");
-    }
-  }
-  assert(SP == 1 && "predicate code must leave one value");
-  for (unsigned L = 0; L < Cnt; ++L)
-    Out[L] = St[L];
-}
-
-/// Index of the first non-true lane in iteration order, or \p Cnt when
-/// every lane is true. The all-true case — the steady state of a passing
-/// sweep — is two quadword compares instead of sixteen byte branches;
-/// only a block that actually decides pays the byte scan.
-static unsigned firstNonTrueLane(const uint8_t *Out, unsigned Cnt) {
-  static_assert(TriTrue == 1, "quadword all-true pattern assumes TriTrue==1");
-  constexpr uint64_t AllTrueQ = 0x0101010101010101ULL;
-  unsigned L = 0;
-  for (; L + 8 <= Cnt; L += 8) {
-    uint64_t Q;
-    std::memcpy(&Q, Out + L, 8);
-    if (Q != AllTrueQ)
-      break;
-  }
-  for (; L < Cnt; ++L)
-    if (Out[L] != TriTrue)
-      return L;
-  return Cnt;
-}
-
-uint8_t CompiledPred::runRootBlocked(Frame &F, int64_t Lo, int64_t Hi) const {
-  const CompiledLoop &L = Loops[static_cast<size_t>(RootLoop)];
-  uint8_t Out[PredBlockWidth];
-  // The walker feeds lane values straight into the leaf evaluations, so
-  // the loop variable's frame slot is never written (nothing to restore).
-  for (int64_t Base = Lo;; Base += PredBlockWidth) {
-    const unsigned Cnt = static_cast<unsigned>(
-        std::min<int64_t>(PredBlockWidth, Hi - Base + 1));
-    F.Stats.LoopIters += Cnt;
-    runBodyBlock(L.BodyBegin, L.StepIp, L.VarSlot, Base, Cnt, F, Out);
-    // Lane-mask early exit: the first non-true lane in iteration order
-    // decides, exactly like the scalar loop's early exit (including
-    // whether false or unknown is reported).
-    const unsigned Lane = firstNonTrueLane(Out, Cnt);
-    if (Lane < Cnt)
-      return Out[Lane];
-    if (Base + static_cast<int64_t>(Cnt) > Hi)
-      return TriTrue;
-  }
-}
-
 /// Reusable per-thread frame: bindFrame() resizes with assign()/resize(),
 /// so after warm-up repeated evaluations allocate nothing. Safe because
 /// eval()/evalParallel() never re-enter on the same thread (the parallel
@@ -1013,29 +696,9 @@ CompiledPred::Frame &CompiledPred::scratchFrame() {
   return F;
 }
 
-std::optional<bool> CompiledPred::runMainOnFrame(Frame &F, EvalStats *Stats,
-                                                 BlockEval Block) const {
-  uint8_t R = 0;
-  bool Blocked = false;
-  if (Block != BlockEval::Off && RootLoop >= 0 && BlockOk) {
-    // Root-loop block sweep: evaluate the bounds here (the scalar path
-    // does it inside LoopBegin) and hand the range to the block walker.
-    // Unknown bounds fall through to the scalar path, which recomputes
-    // them and pushes the conservative result.
-    const CompiledLoop &L = Loops[static_cast<size_t>(RootLoop)];
-    auto Lo = evalExpr(L.LoExprBegin, L.LoExprEnd, F);
-    auto Hi = evalExpr(L.HiExprBegin, L.HiExprEnd, F);
-    if (Lo && Hi &&
-        (Block == BlockEval::Force || autoBlocks(*Hi - *Lo + 1))) {
-      Blocked = true;
-      ++F.Stats.BlockEvals;
-      R = *Lo > *Hi ? TriTrue : runRootBlocked(F, *Lo, *Hi);
-    }
-  }
-  if (!Blocked) {
-    ++F.Stats.ScalarEvals;
-    R = run(0, MainCodeEnd, F);
-  }
+std::optional<bool> CompiledPred::runMainOnFrame(Frame &F,
+                                                 EvalStats *Stats) const {
+  const uint8_t R = run(0, MainCodeEnd, F);
   F.Stats.CompiledEvals = 1;
   if (Stats)
     *Stats += F.Stats;
@@ -1045,12 +708,11 @@ std::optional<bool> CompiledPred::runMainOnFrame(Frame &F, EvalStats *Stats,
 }
 
 std::optional<bool> CompiledPred::eval(const sym::Bindings &B,
-                                       EvalStats *Stats,
-                                       BlockEval Block) const {
+                                       EvalStats *Stats) const {
   Frame &F = scratchFrame();
   F.Stats = EvalStats();
   bindFrame(F, B);
-  return runMainOnFrame(F, Stats, Block);
+  return runMainOnFrame(F, Stats);
 }
 
 std::optional<bool>
@@ -1064,29 +726,7 @@ CompiledPred::evalWithSlots(const sym::Bindings &B,
     F.ScalarVals[Overrides[I].first] = Overrides[I].second;
     F.ScalarBound[Overrides[I].first] = 1;
   }
-  // Scalar tier always: single-point gate probes have no root loop to
-  // sweep (the block counterpart is evalTriBlock).
-  return runMainOnFrame(F, Stats, BlockEval::Off);
-}
-
-void CompiledPred::evalTriBlock(const sym::Bindings &B,
-                                const std::pair<uint32_t, int64_t> *Overrides,
-                                size_t N, uint32_t VarSlot, int64_t VarBase,
-                                unsigned Cnt, uint8_t *OutTri,
-                                EvalStats *Stats) const {
-  assert(MainBlockOk && "evalTriBlock requires a loop-free main range");
-  Frame &F = scratchFrame();
-  F.Stats = EvalStats();
-  bindFrame(F, B);
-  for (size_t I = 0; I < N; ++I) {
-    F.ScalarVals[Overrides[I].first] = Overrides[I].second;
-    F.ScalarBound[Overrides[I].first] = 1;
-  }
-  runBodyBlock(0, MainCodeEnd, VarSlot, VarBase, Cnt, F, OutTri);
-  F.Stats.CompiledEvals = 1;
-  ++F.Stats.BlockEvals;
-  if (Stats)
-    *Stats += F.Stats;
+  return runMainOnFrame(F, Stats);
 }
 
 //===----------------------------------------------------------------------===//
@@ -1099,66 +739,43 @@ CompiledPred::PooledFrame::PooledFrame(PooledFrame &&) noexcept = default;
 CompiledPred::PooledFrame &
 CompiledPred::PooledFrame::operator=(PooledFrame &&) noexcept = default;
 
-bool CompiledPred::bindPooled(PooledFrame &PF, const sym::Bindings &B) const {
+CompiledPred::Frame &CompiledPred::bindPooled(PooledFrame &PF,
+                                              const sym::Bindings &B) const {
   if (!PF.Main)
     PF.Main = std::make_unique<Frame>();
-  const sym::BindingsStamp S = B.stamp();
-  // Stamp equality guarantees B is the same live object, unmutated since
-  // the frame was bound: the scalar values, array pointers and memo
-  // entries in the frame are all still exact.
-  if (PF.BoundTo == this && PF.Stamp == S)
-    return true;
-  bindFrame(*PF.Main, B);
-  PF.BoundTo = this;
-  PF.Stamp = S;
-  PF.WorkersValid = false;
-  return false;
+  Frame &F = *PF.Main;
+  bindFrame(F, B);
+  F.Stats = EvalStats();
+  F.Stats.FrameBinds = 1;
+  return F;
 }
 
 std::optional<bool> CompiledPred::evalPooled(PooledFrame &PF,
                                              const sym::Bindings &B,
-                                             EvalStats *Stats,
-                                             BlockEval Block) const {
-  const bool Reused = bindPooled(PF, B);
-  Frame &F = *PF.Main;
-  F.Stats = EvalStats();
-  if (Reused)
-    F.Stats.FrameRebindsSkipped = 1;
-  else
-    F.Stats.FrameBinds = 1;
-  return runMainOnFrame(F, Stats, Block);
+                                             EvalStats *Stats) const {
+  return runMainOnFrame(bindPooled(PF, B), Stats);
 }
 
 std::optional<bool>
 CompiledPred::evalParallelPooled(PooledFrame &PF, const sym::Bindings &B,
                                  ThreadPool &Pool, EvalStats *Stats,
                                  int64_t MinParallelIters,
-                                 const support::CancelToken *Cancel,
-                                 BlockEval Block) const {
+                                 const support::CancelToken *Cancel) const {
   if (RootLoop < 0 || Pool.numThreads() <= 1)
-    return evalPooled(PF, B, Stats, Block);
-  const bool Reused = bindPooled(PF, B);
-  Frame &F = *PF.Main;
-  F.Stats = EvalStats();
-  if (Reused)
-    F.Stats.FrameRebindsSkipped = 1;
-  else
-    F.Stats.FrameBinds = 1;
-  return evalParallelImpl(F, &PF, Pool, Stats, MinParallelIters, Cancel,
-                          Block);
+    return evalPooled(PF, B, Stats);
+  return evalParallelImpl(bindPooled(PF, B), &PF, Pool, Stats,
+                          MinParallelIters, Cancel);
 }
 
 std::optional<bool> CompiledPred::evalParallelImpl(
     Frame &F, PooledFrame *PF, ThreadPool &Pool, EvalStats *Stats,
-    int64_t MinParallelIters, const support::CancelToken *Cancel,
-    BlockEval Block) const {
+    int64_t MinParallelIters, const support::CancelToken *Cancel) const {
   const CompiledLoop &L = Loops[static_cast<size_t>(RootLoop)];
   auto Lo = evalExpr(L.LoExprBegin, L.LoExprEnd, F);
   auto Hi = evalExpr(L.HiExprBegin, L.HiExprEnd, F);
   if (!Lo || !Hi) {
     if (Stats) {
       F.Stats.CompiledEvals = 1;
-      F.Stats.ScalarEvals = 1;
       *Stats += F.Stats;
     }
     return std::nullopt;
@@ -1166,7 +783,6 @@ std::optional<bool> CompiledPred::evalParallelImpl(
   if (*Lo > *Hi) {
     if (Stats) {
       F.Stats.CompiledEvals = 1;
-      F.Stats.ScalarEvals = 1;
       *Stats += F.Stats;
     }
     return true;
@@ -1175,26 +791,15 @@ std::optional<bool> CompiledPred::evalParallelImpl(
   if (support::stopRequested(Cancel))
     return std::nullopt; // Cancelled: no answer, not "false".
   if (*Hi - *Lo + 1 < MinParallelIters * static_cast<int64_t>(NT))
-    return runMainOnFrame(F, Stats, Block);
-  const bool UseBlock =
-      Block != BlockEval::Off && BlockOk &&
-      (Block == BlockEval::Force || autoBlocks(*Hi - *Lo + 1));
+    return runMainOnFrame(F, Stats);
 
-  // Pooled worker frames are copy-assigned from the bound main frame on
-  // (re)bind so their buffers keep capacity, and simply reused when the
-  // stamp is unchanged — worker-local mutations (the root loop variable
-  // slot, warm memo entries) stay valid under the same bindings.
+  // Pooled worker frames are copy-assigned from the freshly bound main
+  // frame, so their buffers keep capacity across evaluations.
   if (PF) {
-    if (PF->Workers.size() < NT) {
+    if (PF->Workers.size() < NT)
       PF->Workers.resize(NT);
-      PF->WorkersValid = false;
-    }
-    if (!PF->WorkersValid || PF->WorkersBoundFor < NT) {
-      for (unsigned W = 0; W < NT; ++W)
-        PF->Workers[W] = F;
-      PF->WorkersBoundFor = NT;
-      PF->WorkersValid = true;
-    }
+    for (unsigned W = 0; W < NT; ++W)
+      PF->Workers[W] = F;
   }
 
   // Exact first-failure frontier: a worker may stop as soon as its current
@@ -1217,54 +822,22 @@ std::optional<bool> CompiledPred::evalParallelImpl(
         Frame &FW = PF ? PF->Workers[W] : ScratchW;
         FW.Stats = EvalStats();
         bool Ok = true;
-        if (UseBlock) {
-          // Block sweep inside the chunk. The frontier check moves to
-          // block granularity, which stays exact: the frontier only
-          // decreases, so every iteration below the final frontier lies
-          // in a block whose base passed the check and was fully
-          // evaluated; lanes past a failing lane are evaluated and
-          // discarded (side-effect free). Chunk boundaries — the
-          // CancelToken check points — are unchanged.
-          uint8_t OutT[PredBlockWidth];
-          for (int64_t Base = BLo; Base < BHi && Ok;
-               Base += PredBlockWidth) {
-            if (Base > FirstBad.load(std::memory_order_relaxed))
-              break;
-            const unsigned Cnt = static_cast<unsigned>(
-                std::min<int64_t>(PredBlockWidth, BHi - Base));
-            FW.Stats.LoopIters += Cnt;
-            runBodyBlock(L.BodyBegin, L.StepIp, L.VarSlot, Base, Cnt, FW,
-                         OutT);
-            const unsigned Lane = firstNonTrueLane(OutT, Cnt);
-            if (Lane < Cnt) {
-              const int64_t I = Base + static_cast<int64_t>(Lane);
-              Outcome[W] = OutT[Lane];
-              BadAt[W] = I;
-              int64_t Cur = FirstBad.load(std::memory_order_relaxed);
-              while (I < Cur && !FirstBad.compare_exchange_weak(
-                                    Cur, I, std::memory_order_relaxed)) {
-              }
-              Ok = false;
+        for (int64_t I = BLo; I < BHi; ++I) {
+          if (I > FirstBad.load(std::memory_order_relaxed))
+            break;
+          FW.ScalarVals[L.VarSlot] = I;
+          FW.ScalarBound[L.VarSlot] = 1;
+          ++FW.Stats.LoopIters;
+          uint8_t R = run(L.BodyBegin, L.StepIp, FW);
+          if (R != TriTrue) {
+            Outcome[W] = R;
+            BadAt[W] = I;
+            int64_t Cur = FirstBad.load(std::memory_order_relaxed);
+            while (I < Cur && !FirstBad.compare_exchange_weak(
+                                  Cur, I, std::memory_order_relaxed)) {
             }
-          }
-        } else {
-          for (int64_t I = BLo; I < BHi; ++I) {
-            if (I > FirstBad.load(std::memory_order_relaxed))
-              break;
-            FW.ScalarVals[L.VarSlot] = I;
-            FW.ScalarBound[L.VarSlot] = 1;
-            ++FW.Stats.LoopIters;
-            uint8_t R = run(L.BodyBegin, L.StepIp, FW);
-            if (R != TriTrue) {
-              Outcome[W] = R;
-              BadAt[W] = I;
-              int64_t Cur = FirstBad.load(std::memory_order_relaxed);
-              while (I < Cur && !FirstBad.compare_exchange_weak(
-                                    Cur, I, std::memory_order_relaxed)) {
-              }
-              Ok = false;
-              break;
-            }
+            Ok = false;
+            break;
           }
         }
         WorkerStats[W] = FW.Stats;
@@ -1276,12 +849,7 @@ std::optional<bool> CompiledPred::evalParallelImpl(
   for (unsigned W = 0; W < NT; ++W)
     Agg += WorkerStats[W];
   Agg.CompiledEvals = 1;
-  if (UseBlock)
-    Agg.BlockEvals = 1;
-  else
-    Agg.ScalarEvals = 1;
   Agg.FrameBinds = F.Stats.FrameBinds;
-  Agg.FrameRebindsSkipped = F.Stats.FrameRebindsSkipped;
   if (Stats)
     *Stats += Agg;
 
@@ -1306,13 +874,11 @@ std::optional<bool> CompiledPred::evalParallelImpl(
 std::optional<bool>
 CompiledPred::evalParallel(const sym::Bindings &B, ThreadPool &Pool,
                            EvalStats *Stats, int64_t MinParallelIters,
-                           const support::CancelToken *Cancel,
-                           BlockEval Block) const {
+                           const support::CancelToken *Cancel) const {
   if (RootLoop < 0 || Pool.numThreads() <= 1)
-    return eval(B, Stats, Block);
+    return eval(B, Stats);
   Frame &F = scratchFrame();
   F.Stats = EvalStats();
   bindFrame(F, B);
-  return evalParallelImpl(F, nullptr, Pool, Stats, MinParallelIters, Cancel,
-                          Block);
+  return evalParallelImpl(F, nullptr, Pool, Stats, MinParallelIters, Cancel);
 }

@@ -54,21 +54,6 @@ struct PlanCodec;
 } // namespace plan
 namespace pdag {
 
-/// Lane count of the predicate block tier (one runBodyBlock dispatch
-/// covers this many root-loop iterations); equal to the expression
-/// bytecode's lane count by construction.
-inline constexpr unsigned PredBlockWidth = ExprBlockWidth;
-
-/// Per-evaluation selection of the block-vectorized tier.
-enum class BlockEval : uint8_t {
-  Off,  ///< always run the scalar bytecode tier
-  Auto, ///< block tier when the compiled shape profits: block-compatible
-        ///< root loop, loop-variant array accesses in the body, and a
-        ///< trip count of at least 2 * PredBlockWidth
-  Force ///< block tier whenever structurally possible (any trip count);
-        ///< for tests that must exercise short-trip block sweeps
-};
-
 /// One predicate-bytecode instruction (operates on a tri-state stack:
 /// false / true / unknown, where unknown is the conservative result of an
 /// unbound symbol or out-of-bounds array read).
@@ -112,14 +97,11 @@ class CompiledPred {
 
 public:
   /// Caller-owned reusable evaluation frame — the analyze-once /
-  /// execute-many entry point. The first evalPooled()/evalParallelPooled()
-  /// call binds every symbol slot from the bindings; later calls against a
-  /// bindings object whose stamp is unchanged skip allocation *and* symbol
-  /// re-binding, and keep the invariant-sub-predicate memo table warm (its
-  /// entries depend only on the bindings, so they stay valid for as long
-  /// as the stamp does). A frame belongs to one CompiledPred at a time
-  /// (re-binding on first use by another is automatic) and must not be
-  /// used from two threads concurrently.
+  /// execute-many entry point. Every evalPooled()/evalParallelPooled()
+  /// call re-binds the symbol slots from the bindings into buffers that
+  /// keep their capacity, so steady-state evaluations allocate nothing. A
+  /// frame may serve any CompiledPred but must not be used from two
+  /// threads concurrently.
   class PooledFrame {
   public:
     PooledFrame();
@@ -133,13 +115,9 @@ public:
     friend class CompiledPred;
     std::unique_ptr<Frame> Main;
     /// Per-worker scratch copies for evalParallelPooled (copy-assigned
-    /// from the bound main frame, so steady-state reuse keeps their
-    /// buffer capacity).
+    /// from the bound main frame on every call, so steady-state reuse
+    /// keeps their buffer capacity).
     std::vector<Frame> Workers;
-    const CompiledPred *BoundTo = nullptr;
-    sym::BindingsStamp Stamp;
-    unsigned WorkersBoundFor = 0; ///< Worker count the copies match.
-    bool WorkersValid = false;    ///< Copies match the current Stamp.
   };
 
   /// Lowers \p P. \p Ctx must be the symbol context the predicate was
@@ -154,11 +132,9 @@ public:
 
   /// Evaluates against \p B on the calling thread. Same result contract
   /// as tryEvalPred: nullopt when an unbound symbol or out-of-bounds
-  /// array access decides the outcome. \p Block selects the block tier
-  /// for the root loop (bit-identical result either way, including which
-  /// iteration decides a false/unknown outcome).
-  std::optional<bool> eval(const sym::Bindings &B, EvalStats *Stats = nullptr,
-                           BlockEval Block = BlockEval::Auto) const;
+  /// array access decides the outcome.
+  std::optional<bool> eval(const sym::Bindings &B,
+                           EvalStats *Stats = nullptr) const;
 
   /// Evaluates with the root LoopAll range chunked across \p Pool using
   /// an atomic first-failure frontier; exact same result as eval().
@@ -170,52 +146,35 @@ public:
   std::optional<bool> evalParallel(const sym::Bindings &B, ThreadPool &Pool,
                                    EvalStats *Stats = nullptr,
                                    int64_t MinParallelIters = 4096,
-                                   const support::CancelToken *Cancel = nullptr,
-                                   BlockEval Block = BlockEval::Auto) const;
+                                   const support::CancelToken *Cancel =
+                                       nullptr) const;
 
-  /// eval() against a caller-owned pooled frame: binds the frame on first
-  /// use (or whenever \p B's stamp changed since the last bind) and skips
-  /// re-binding otherwise. Exact same result contract as eval().
+  /// eval() against a caller-owned pooled frame (bound from \p B into the
+  /// frame's reused buffers). Exact same result contract as eval().
   std::optional<bool> evalPooled(PooledFrame &PF, const sym::Bindings &B,
-                                 EvalStats *Stats = nullptr,
-                                 BlockEval Block = BlockEval::Auto) const;
+                                 EvalStats *Stats = nullptr) const;
 
-  /// evalParallel() against a caller-owned pooled frame: the bound main
-  /// frame and the per-worker copies are all reused across evaluations
-  /// with an unchanged bindings stamp. Exact same result as eval().
+  /// evalParallel() against a caller-owned pooled frame: the main frame
+  /// and the per-worker copies keep their buffers across evaluations.
+  /// Exact same result as eval().
   std::optional<bool>
   evalParallelPooled(PooledFrame &PF, const sym::Bindings &B, ThreadPool &Pool,
                      EvalStats *Stats = nullptr,
                      int64_t MinParallelIters = 4096,
-                     const support::CancelToken *Cancel = nullptr,
-                     BlockEval Block = BlockEval::Auto) const;
+                     const support::CancelToken *Cancel = nullptr) const;
 
   /// eval() with scalar overrides written into the frame after binding:
   /// (slot, value) pairs over slots resolved via scalarSlotIndex(). This
   /// is how the compiled-USR engine (usr/USRCompile.h) feeds recurrence
   /// variables that live in *its* evaluation frame — not in \p B — into a
   /// gate predicate. Runs on a scratch frame: override values change per
-  /// recurrence iteration, so neither the pooled bind-skip nor the
-  /// invariant-sub-predicate memo (whose entries may depend on the
-  /// overridden symbols) can be reused safely across calls.
+  /// recurrence iteration, so the invariant-sub-predicate memo (whose
+  /// entries may depend on the overridden symbols) cannot be reused
+  /// across calls.
   std::optional<bool>
   evalWithSlots(const sym::Bindings &B,
                 const std::pair<uint32_t, int64_t> *Overrides, size_t N,
                 EvalStats *Stats = nullptr) const;
-
-  /// Block counterpart of evalWithSlots for the compiled-USR engine's gate
-  /// sweeps: writes the tri-states (0 false / 1 true / 2 unknown) of this
-  /// loop-free predicate for the \p Cnt (1..PredBlockWidth) consecutive
-  /// values VarBase .. VarBase+Cnt-1 of scalar slot \p VarSlot into
-  /// \p OutTri. The uniform \p Overrides (outer recurrence variables) are
-  /// applied once; one frame bind serves the whole block, which is where
-  /// the speedup over per-point evalWithSlots comes from. Each lane's
-  /// tri-state is bit-identical to the scalar call at that point.
-  /// Requires blockableMain().
-  void evalTriBlock(const sym::Bindings &B,
-                    const std::pair<uint32_t, int64_t> *Overrides, size_t N,
-                    uint32_t VarSlot, int64_t VarBase, unsigned Cnt,
-                    uint8_t *OutTri, EvalStats *Stats = nullptr) const;
 
   /// Frame slot of scalar \p S, or nullopt when the predicate never reads
   /// it (then there is nothing to override).
@@ -232,25 +191,6 @@ public:
   size_t numMemoSlots() const { return NumMemoSlots; }
   /// True when evalParallel can actually fan out (root is a LoopAll).
   bool hasParallelRoot() const { return RootLoop >= 0; }
-  /// True when the root LoopAll body can run the block tier: no nested
-  /// loops in the body, including through CallSub-reachable subroutines
-  /// (memoized loop-invariant sub-loops are fine — they are evaluated
-  /// scalar once and broadcast).
-  bool blockCompatible() const { return BlockOk; }
-  /// True when the whole main code range is loop-free, i.e. evalTriBlock
-  /// may sweep it (the shape of USR gate predicates).
-  bool blockableMain() const { return MainBlockOk; }
-  /// True when the root loop body reads arrays through the loop variable —
-  /// the access shape the block tier's fused gathers accelerate; the Auto
-  /// governor requires it.
-  bool bodyHasVarArrayLoad() const { return BodyHasVarLoad; }
-  /// Frame-stack slots (stack entries across the tri-state and expression
-  /// stacks) the exact-depth precompute saves per bound frame, relative to
-  /// the old code-length-based over-allocation. Surfaced through
-  /// rt::FramePoolOf stats.
-  size_t frameStackSlotsSaved() const {
-    return (PCode.size() + 2 - PMaxDepth) + (XCode.size() + 1 - XMaxDepth);
-  }
 
   /// Governor ordering key: loop depth dominates, bytecode length breaks
   /// ties (cheapest-first stage scheduling, Sec. 3.5 cascade ordering).
@@ -268,43 +208,21 @@ private:
   /// Runs predicate code [IpBegin, IpEnd) on \p F; returns the tri-state
   /// left on top of the stack.
   uint8_t run(uint32_t IpBegin, uint32_t IpEnd, Frame &F) const;
-  bool bindFrame(Frame &F, const sym::Bindings &B) const;
-  /// Binds (or reuses) the pooled main frame for \p B; returns true when
-  /// the bind was skipped because the bindings stamp is unchanged.
-  bool bindPooled(PooledFrame &PF, const sym::Bindings &B) const;
+  void bindFrame(Frame &F, const sym::Bindings &B) const;
+  /// Binds the pooled main frame for \p B and resets its statistics to
+  /// one frame bind.
+  Frame &bindPooled(PooledFrame &PF, const sym::Bindings &B) const;
   /// Runs the root code on an already-bound frame and folds F.Stats into
-  /// \p Stats (the shared tail of eval/evalPooled). \p Block routes the
-  /// root loop through runRootBlocked when selected.
-  std::optional<bool> runMainOnFrame(Frame &F, EvalStats *Stats,
-                                     BlockEval Block) const;
+  /// \p Stats (the shared tail of eval/evalPooled).
+  std::optional<bool> runMainOnFrame(Frame &F, EvalStats *Stats) const;
   /// The one copy of the chunked-parallel protocol (exact first-failure
   /// frontier) shared by evalParallel and evalParallelPooled. \p F must
   /// already be bound; workers copy it per call (scratch mode, \p PF
   /// null) or live pooled inside \p PF.
-  std::optional<bool> evalParallelImpl(Frame &F, PooledFrame *PF,
-                                       ThreadPool &Pool, EvalStats *Stats,
-                                       int64_t MinParallelIters,
-                                       const support::CancelToken *Cancel,
-                                       BlockEval Block) const;
-  /// Serial block sweep of the root loop over [Lo, Hi]; the first non-true
-  /// lane (in iteration order) decides, exactly like the scalar loop.
-  uint8_t runRootBlocked(Frame &F, int64_t Lo, int64_t Hi) const;
-  /// Evaluates code [IpBegin, IpEnd) — which must contain no LoopBegin,
-  /// see blockCompatible() — for the Cnt consecutive values
-  /// VarBase..VarBase+Cnt-1 of scalar slot VarSlot, writing per-lane
-  /// tri-states to \p Out. And/Or short-circuit jumps are disabled (every
-  /// child is folded per lane, sound because the tri-state fold is
-  /// dominance-monotone and evaluation is side-effect free); invariant
-  /// sub-predicates still short-circuit uniformly through their memo slot.
-  void runBodyBlock(uint32_t IpBegin, uint32_t IpEnd, uint32_t VarSlot,
-                    int64_t VarBase, unsigned Cnt, Frame &F,
-                    uint8_t *Out) const;
-  /// Whether the Auto policy picks the block tier for a root sweep of
-  /// \p Trip iterations.
-  bool autoBlocks(int64_t Trip) const {
-    return BlockOk && BodyHasVarLoad &&
-           Trip >= 2 * static_cast<int64_t>(PredBlockWidth);
-  }
+  std::optional<bool>
+  evalParallelImpl(Frame &F, PooledFrame *PF, ThreadPool &Pool,
+                   EvalStats *Stats, int64_t MinParallelIters,
+                   const support::CancelToken *Cancel) const;
   std::optional<int64_t> evalExpr(uint32_t Begin, uint32_t End,
                                   Frame &F) const;
 
@@ -331,12 +249,6 @@ private:
   uint32_t XMaxDepth = 0;
   /// Exact LoopAll nesting depth of the compiled code (LoopStack bound).
   uint32_t MaxLoopNest = 0;
-  /// Root loop body is block-evaluable (no nested loops, incl. via subs).
-  bool BlockOk = false;
-  /// Whole main code range is loop-free (evalTriBlock precondition).
-  bool MainBlockOk = false;
-  /// Root loop body reads arrays through the loop variable.
-  bool BodyHasVarLoad = false;
 
   friend class PredCompiler;
   /// Plan serialization encodes the compiled tables for the verify-only

@@ -43,24 +43,10 @@ struct EvalStats {
   /// Whole-predicate evaluations routed through this tree interpreter by
   /// a caller that had the compiled path available (governor fallback).
   uint64_t InterpEvals = 0;
-  /// Full symbol-slot binds performed by the *pooled* entry points (they
-  /// only rebind when the bindings stamp changed; the scratch-frame
-  /// eval/evalParallel paths bind every time and report neither counter).
+  /// Symbol-slot binds performed by the *pooled* entry points (one per
+  /// evaluation; the scratch-frame eval/evalParallel paths do not count
+  /// theirs).
   uint64_t FrameBinds = 0;
-  /// Pooled evaluations that skipped re-binding entirely because the
-  /// bindings were unchanged since the frame was last bound.
-  uint64_t FrameRebindsSkipped = 0;
-  /// Compiled evaluations routed through the block-vectorized tier
-  /// (ExprBlockWidth iterations per dispatch). Together with ScalarEvals
-  /// this partitions CompiledEvals, so the governor's A/B split is
-  /// observable end to end.
-  uint64_t BlockEvals = 0;
-  /// Compiled evaluations that ran the scalar bytecode tier (non-loop
-  /// roots, block-incompatible bodies, short trips, or block eval off).
-  uint64_t ScalarEvals = 0;
-  /// Block-tier lanes that hit an unbound scalar or out-of-bounds read and
-  /// degraded (that lane only) to the conservative-unknown result.
-  uint64_t LanesPoisoned = 0;
 
   EvalStats &operator+=(const EvalStats &O) {
     LeafEvals += O.LeafEvals;
@@ -69,10 +55,6 @@ struct EvalStats {
     CompiledEvals += O.CompiledEvals;
     InterpEvals += O.InterpEvals;
     FrameBinds += O.FrameBinds;
-    FrameRebindsSkipped += O.FrameRebindsSkipped;
-    BlockEvals += O.BlockEvals;
-    ScalarEvals += O.ScalarEvals;
-    LanesPoisoned += O.LanesPoisoned;
     return *this;
   }
 };

@@ -125,9 +125,6 @@ struct PlanCodec {
     W.u32(CP.PMaxDepth);
     W.u32(CP.XMaxDepth);
     W.u32(CP.MaxLoopNest);
-    W.u8(CP.BlockOk ? 1 : 0);
-    W.u8(CP.MainBlockOk ? 1 : 0);
-    W.u8(CP.BodyHasVarLoad ? 1 : 0);
   }
 
   static void encodeUSR(const usr::CompiledUSR &CU, const SymMap &SM,

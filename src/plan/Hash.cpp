@@ -469,11 +469,9 @@ uint64_t hashOptions(const analysis::AnalyzerOptions &AO, CodegenKey CG,
   uint64_t H = mix(Seed, 0xF1ull);
   // Format version: a new format is a new key space.
   H = mix(H, FormatVersion);
-  // Codegen-affecting session toggles + the block width W.
+  // Codegen-affecting session toggles.
   H = mix(H, CG.UseCompiledPredicates ? 1 : 0);
   H = mix(H, CG.UseCompiledUSRs ? 1 : 0);
-  H = mix(H, CG.UseBlockEval ? 1 : 0);
-  H = mix(H, pdag::ExprBlockWidth);
   // Analyzer options (Probe is excluded: probe-analyzed plans are never
   // serialized; Threads is excluded: it affects scheduling, not the plan).
   H = mix(H, AO.RuntimeTests ? 1 : 0);

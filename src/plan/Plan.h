@@ -62,7 +62,7 @@ inline constexpr char Magic[4] = {'H', 'P', 'L', 'N'};
 /// in-place migration; a version-skewed cache is rejected with
 /// `PlanVersionSkew` and the loader falls back to full analysis (the
 /// cache is cheap to regenerate, wrong adoption is not).
-inline constexpr uint32_t FormatVersion = 1;
+inline constexpr uint32_t FormatVersion = 2;
 
 /// Chunk tags (FourCC, little-endian on the wire). Chunks appear in this
 /// order: one each of SYMB/EXPR/PRED/USRT/PCOD/UCOD, then one LOOP chunk
@@ -97,11 +97,10 @@ inline constexpr uint64_t VerifySeed = 0x13198A2E03707344ull;
 
 /// The session toggles that change what prepare() compiles (and therefore
 /// what a plan contains); folded into the plan key together with the
-/// analyzer options, the block width W and the format version.
+/// analyzer options and the format version.
 struct CodegenKey {
   bool UseCompiledPredicates = true;
   bool UseCompiledUSRs = true;
-  bool UseBlockEval = true;
 };
 
 /// Pointer-free structural hash of an expression DAG (symbols by name).

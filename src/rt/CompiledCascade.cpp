@@ -54,8 +54,7 @@ std::optional<bool> USRCompileCache::emptiness(const usr::USR *S,
                                                usr::USREvalStats *Stats,
                                                USRFramePool *Frames,
                                                const support::CancelToken
-                                                   *Cancel,
-                                               bool BlockGates) {
+                                                   *Cancel) {
   Entry *E;
   {
     // Probe/insert under the cache mutex; everything below (the
@@ -83,13 +82,13 @@ std::optional<bool> USRCompileCache::emptiness(const usr::USR *S,
       [&](usr::CompiledUSR::PooledFrame &F) -> std::optional<bool> {
     if (Pool && Pool->numThreads() > 1 && Code->hasParallelRoot())
       return Code->evalEmptyParallel(F, B, *Pool, 1u << 22, Stats, 2048,
-                                     Cancel, BlockGates);
-    return Code->evalEmptyPooled(F, B, 1u << 22, Stats, BlockGates);
+                                     Cancel);
+    return Code->evalEmptyPooled(F, B, 1u << 22, Stats);
   };
   if (Frames)
     return Eval(Frames->frameFor(Code));
-  // Frameless callers share the entry's fallback frame (mutable bind
-  // stamps and prefix caches): hold its mutex across the whole
+  // Frameless callers share the entry's fallback frame (mutable bound
+  // slots and prefix caches): hold its mutex across the whole
   // evaluation so two concurrent frameless callers serialize instead of
   // racing on frame state. Pool-carrying callers never touch this path.
   support::MutexLock FL(E->FallbackM);

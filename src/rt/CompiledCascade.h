@@ -15,9 +15,9 @@
 ///  - PlanCascades:     every cascade of a LoopPlan, index-aligned with
 ///    Plan.Arrays,
 ///  - FramePool / USRFramePool / ExecContext: the *mutable* per-execution
-///    state (pooled evaluation frames with their bind-skip stamps, memo
-///    tables and recurrence prefix caches), bundled so an execution can
-///    check one context out, run, and return it.
+///    state (pooled evaluation frames with their memo tables and
+///    recurrence prefix caches), bundled so an execution can check one
+///    context out, run, and return it.
 ///
 /// Thread-safety contract (the serving layer's concurrent intra-shard
 /// execution builds on this):
@@ -32,7 +32,7 @@
 ///    the internal mutex is uncontended on the serving path.
 ///  - Frames are NOT shared: a FramePool / USRFramePool (and the
 ///    ExecContext bundling them) belongs to exactly one execution at a
-///    time. Pooled frames carry mutable bind-skip stamps, invariant-memo
+///    time. Pooled frames carry mutable bound slots, invariant-memo
 ///    tables and recurrence prefix caches, so two concurrent executions
 ///    must check out two distinct contexts (session::Session pools and
 ///    leases them). USRCompileCache's internal per-entry fallback frame is
@@ -119,36 +119,26 @@ struct PlanCascades {
                             PredCompileCache &Cache);
 };
 
-/// Pooled per-compiled-unit evaluation frames: one mutable FrameT (bind
-/// stamps, memo tables, prefix caches, per-worker scratch copies) per
+/// Pooled per-compiled-unit evaluation frames: one mutable FrameT (bound
+/// slots, memo tables, prefix caches, per-worker scratch copies) per
 /// immutable CodeT. One frame per unit suffices for a single execution
 /// stream; a pool must only be used by one execution at a time (see
-/// ExecContext). size()/stackSlotsSaved() alone are safe to read
-/// concurrently (stats snapshots) via the mirrored atomics.
+/// ExecContext). size() alone is safe to read concurrently (stats
+/// snapshots) via the mirrored atomic.
 template <class CodeT, class FrameT> class FramePoolOf {
 public:
   FrameT &frameFor(const CodeT *Code) {
     auto R = Frames.try_emplace(Code);
-    if (R.second) {
+    if (R.second)
       Count.store(Frames.size(), std::memory_order_relaxed);
-      Saved.fetch_add(Code->frameStackSlotsSaved(),
-                      std::memory_order_relaxed);
-    }
     return R.first->second;
   }
   size_t size() const { return Count.load(std::memory_order_relaxed); }
-  /// Stack slots the compiled units' exact-depth precompute saved across
-  /// every frame pooled here, relative to the old code-length-based
-  /// sizing (CodeT::frameStackSlotsSaved summed over distinct units).
-  size_t stackSlotsSaved() const {
-    return Saved.load(std::memory_order_relaxed);
-  }
 
 private:
   std::unordered_map<const CodeT *, FrameT> Frames;
   /// Mirrors Frames.size() so concurrent stats snapshots need no lock.
   std::atomic<size_t> Count{0};
-  std::atomic<size_t> Saved{0};
 };
 
 /// Pooled per-predicate evaluation frames (cascade stages).
@@ -161,7 +151,7 @@ using USRFramePool =
 /// The checkout/return unit of mutable execution state: everything one
 /// runPlanned() call mutates outside the caller's Memory/Bindings. A
 /// context may be reused across executions (that reuse is what keeps the
-/// pooled frames' bind-skip and memo state warm) but never shared between
+/// pooled frames' buffers allocated) but never shared between
 /// two concurrent executions. session::Session owns a pool of these and
 /// leases one per runPrepared() call.
 struct ExecContext {
@@ -201,15 +191,14 @@ public:
   /// mutex for the whole evaluation (shared mutable frame state), so
   /// concurrent frameless callers are correct, merely sequential. A
   /// fired \p Cancel token aborts the evaluation and yields nullopt (no
-  /// answer — never a cacheable one). \p BlockGates selects the batched
-  /// gate tier (usr::CompiledUSR::evalEmpty). The cache mutex M covers
-  /// only the probe/insert; evaluation runs outside it.
+  /// answer — never a cacheable one). The cache mutex M covers only the
+  /// probe/insert; evaluation runs outside it.
   std::optional<bool> emptiness(const usr::USR *S, const sym::Bindings &B,
                                 ThreadPool *Pool = nullptr,
                                 usr::USREvalStats *Stats = nullptr,
                                 USRFramePool *Frames = nullptr,
-                                const support::CancelToken *Cancel = nullptr,
-                                bool BlockGates = true) HALO_EXCLUDES(M);
+                                const support::CancelToken *Cancel = nullptr)
+      HALO_EXCLUDES(M);
 
   size_t size() const HALO_EXCLUDES(M) {
     support::MutexLock L(M);
@@ -224,7 +213,7 @@ private:
     /// Serializes frameless callers over the shared fallback frame.
     support::Mutex FallbackM;
     /// Fallback frame for frameless callers (standalone executors):
-    /// mutable bind stamps and prefix caches, shared cache state — held
+    /// mutable bound slots and prefix caches, shared cache state — held
     /// under FallbackM for the whole evaluation.
     usr::CompiledUSR::PooledFrame Frame HALO_GUARDED_BY(FallbackM);
   };

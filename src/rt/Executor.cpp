@@ -73,8 +73,7 @@ std::optional<bool> HoistCache::emptiness(const usr::USR *S,
                                           ThreadPool *Pool,
                                           usr::USREvalStats *Stats,
                                           USRFramePool *Frames,
-                                          const support::CancelToken *Cancel,
-                                          bool BlockGates) {
+                                          const support::CancelToken *Cancel) {
   // Hash the values of the USR's free symbols (scalars + index arrays)
   // twice with independent mixings: H keys the cache, H2 verifies the hit
   // so a primary collision cannot silently return a wrong emptiness
@@ -130,8 +129,7 @@ std::optional<bool> HoistCache::emptiness(const usr::USR *S,
   // behalf of a cancelled request.
   if (support::stopRequested(Cancel))
     return std::nullopt;
-  auto V = Compiled ? Compiled->emptiness(S, B, Pool, Stats, Frames, Cancel,
-                                          BlockGates)
+  auto V = Compiled ? Compiled->emptiness(S, B, Pool, Stats, Frames, Cancel)
                     : usr::evalUSREmpty(S, B, 1u << 22, Stats);
   if (support::stopRequested(Cancel))
     return std::nullopt;
@@ -200,28 +198,21 @@ int Executor::runCascade(const TestCascade &C, const CompiledCascade *Pre,
     // O(1) stages run inline; O(N)+ stages fan their root LoopAll range
     // out across the pool with the exact early-exit and-reduction.
     // Pooled frames (when the session provides a pool) skip per-execution
-    // frame allocation and, with unchanged bindings, symbol re-binding.
+    // frame allocation.
     std::optional<bool> V;
-    const pdag::BlockEval BE =
-        UseBlockEval ? pdag::BlockEval::Auto : pdag::BlockEval::Off;
     if (Frames) {
       auto &PF = Frames->frameFor(St.Code);
       V = St.Code->loopDepth() >= 1
-              ? St.Code->evalParallelPooled(PF, B, Pool, &ES, 4096, Cancel,
-                                            BE)
-              : St.Code->evalPooled(PF, B, &ES, BE);
+              ? St.Code->evalParallelPooled(PF, B, Pool, &ES, 4096, Cancel)
+              : St.Code->evalPooled(PF, B, &ES);
     } else {
       V = St.Code->loopDepth() >= 1
-              ? St.Code->evalParallel(B, Pool, &ES, 4096, Cancel, BE)
-              : St.Code->eval(B, &ES, BE);
+              ? St.Code->evalParallel(B, Pool, &ES, 4096, Cancel)
+              : St.Code->eval(B, &ES);
     }
     Stats.PredicateLeafEvals += ES.LeafEvals;
     Stats.PredMemoHits += ES.MemoHits;
     Stats.FrameBinds += ES.FrameBinds;
-    Stats.FrameRebindsSkipped += ES.FrameRebindsSkipped;
-    Stats.BlockEvals += ES.BlockEvals;
-    Stats.ScalarEvals += ES.ScalarEvals;
-    Stats.LanesPoisoned += ES.LanesPoisoned;
     ++Stats.CompiledPredEvals;
     if (V && *V)
       return St.Source->Depth;
@@ -363,9 +354,9 @@ bool Executor::runTests(const LoopPlan &Plan, Memory &M, sym::Bindings &B,
       bool Hit = false;
       if (Hoist)
         V = Hoist->emptiness(S, B, Sym, Hit, UC, &Pool, &US, UsrFrames,
-                             Cancel, UseBlockEval);
+                             Cancel);
       else if (UC)
-        V = UC->emptiness(S, B, &Pool, &US, UsrFrames, Cancel, UseBlockEval);
+        V = UC->emptiness(S, B, &Pool, &US, UsrFrames, Cancel);
       else
         V = usr::evalUSREmpty(S, B, 1u << 22, &US);
       // A demoted evaluation ran on the interpreter even though the
@@ -377,9 +368,6 @@ bool Executor::runTests(const LoopPlan &Plan, Memory &M, sym::Bindings &B,
       Stats.GuardDemotions += US.GuardDemotions;
       Stats.USRRunsProduced += US.RunsProduced;
       Stats.USRPointsAvoided += US.PointsAvoided;
-      Stats.BlockEvals += US.GateBlockEvals;
-      Stats.ScalarEvals += US.GateScalarEvals;
-      Stats.LanesPoisoned += US.GateLanesPoisoned;
       Stats.ExactTestSeconds += nowSeconds() - TE;
       Verdict.UsedExactTest = true;
       // An exact-test boundary is also a cancellation boundary: a fired

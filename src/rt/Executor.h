@@ -76,9 +76,10 @@ struct ExecStats {
   /// symmetric and cannot double-count.
   uint64_t CompiledPredEvals = 0;
   uint64_t InterpPredEvals = 0;
-  /// Frame-pooling effectiveness (session executions only): full symbol
-  /// binds vs. evaluations that reused the pooled frame unchanged.
+  /// Pooled-frame symbol binds (session executions only; one per pooled
+  /// evaluation).
   uint64_t FrameBinds = 0;
+  /// Never written; remains only for perfbench's stats export.
   uint64_t FrameRebindsSkipped = 0;
   /// Exact-test (HOIST-USR fallback) evaluations routed through the
   /// compiled interval-run engine vs. the reference interpreter,
@@ -90,14 +91,11 @@ struct ExecStats {
   /// enumerations they made unnecessary (usr::USREvalStats).
   uint64_t USRRunsProduced = 0;
   uint64_t USRPointsAvoided = 0;
-  /// Block-vectorized vs. scalar compiled dispatches (the governor's A/B
-  /// split): predicate-side whole-evaluations (pdag::EvalStats) plus
-  /// USR-side batched gate probes (usr::USREvalStats GateBlockEvals /
-  /// GateScalarEvals), folded into one pair of columns.
+  /// Never written; remains only for perfbench's stats export.
   uint64_t BlockEvals = 0;
+  /// Never written; remains only for perfbench's stats export.
   uint64_t ScalarEvals = 0;
-  /// Block-tier lanes degraded to conservative-unknown by an unbound
-  /// scalar or out-of-bounds read (that lane only, never the block).
+  /// Never written; remains only for perfbench's stats export.
   uint64_t LanesPoisoned = 0;
   /// Evaluations demoted from the compiled engines to the reference
   /// interpreters because lowering tripped a resource guard (nesting or
@@ -137,14 +135,10 @@ struct ExecStats {
     CompiledPredEvals += O.CompiledPredEvals;
     InterpPredEvals += O.InterpPredEvals;
     FrameBinds += O.FrameBinds;
-    FrameRebindsSkipped += O.FrameRebindsSkipped;
     CompiledUSREvals += O.CompiledUSREvals;
     InterpUSREvals += O.InterpUSREvals;
     USRRunsProduced += O.USRRunsProduced;
     USRPointsAvoided += O.USRPointsAvoided;
-    BlockEvals += O.BlockEvals;
-    ScalarEvals += O.ScalarEvals;
-    LanesPoisoned += O.LanesPoisoned;
     GuardDemotions += O.GuardDemotions;
     TestMemoHits += O.TestMemoHits;
     TestMemoMisses += O.TestMemoMisses;
@@ -185,8 +179,8 @@ public:
                                 ThreadPool *Pool = nullptr,
                                 usr::USREvalStats *Stats = nullptr,
                                 USRFramePool *Frames = nullptr,
-                                const support::CancelToken *Cancel = nullptr,
-                                bool BlockGates = true) HALO_EXCLUDES(M);
+                                const support::CancelToken *Cancel = nullptr)
+      HALO_EXCLUDES(M);
 
   size_t size() const HALO_EXCLUDES(M) {
     support::MutexLock L(M);
@@ -369,15 +363,6 @@ public:
   void setUseCompiledUSRs(bool Use) { UseCompiledUSRs = Use; }
   bool useCompiledUSRs() const { return UseCompiledUSRs; }
 
-  /// Switches the block-vectorized evaluation tier (default on): compiled
-  /// cascade stages select block vs. scalar sweeps per stage under the
-  /// Auto policy (pdag::BlockEval::Auto), and exact-test gate predicates
-  /// batch their recurrence sweeps. Off pins everything to the scalar
-  /// bytecode tier — the A/B baseline bench/rtov_overhead.cpp measures
-  /// against. Results are bit-identical either way.
-  void setUseBlockEval(bool Use) { UseBlockEval = Use; }
-  bool useBlockEval() const { return UseBlockEval; }
-
   /// Number of distinct cascade-stage predicates compiled by this
   /// executor's own lazy cache (standalone use; sessions compile through
   /// their shared PredCompileCache instead).
@@ -417,7 +402,6 @@ private:
   USRCompileCache OwnUsrCompile;
   bool UseCompiledPreds = true;
   bool UseCompiledUSRs = true;
-  bool UseBlockEval = true;
 };
 
 } // namespace rt

@@ -74,7 +74,6 @@ Session::Session(ir::Program &Prog, usr::USRContext &Ctx, SessionOptions O)
       UsrCompile(Ctx.symCtx(), Compile) {
   Exec.setUseCompiledPredicates(Opts.UseCompiledPredicates);
   Exec.setUseCompiledUSRs(Opts.UseCompiledUSRs);
-  Exec.setUseBlockEval(Opts.UseBlockEval);
 }
 
 Session::~Session() = default;
@@ -366,14 +365,6 @@ size_t Session::numPooledFrames() const {
   size_t N = 0;
   for (const std::unique_ptr<rt::ExecContext> &C : Contexts)
     N += C->Frames.size();
-  return N;
-}
-
-size_t Session::pooledFrameSlotsSaved() const {
-  support::MutexLock L(CtxMutex);
-  size_t N = 0;
-  for (const std::unique_ptr<rt::ExecContext> &C : Contexts)
-    N += C->Frames.stackSlotsSaved() + C->UsrFrames.stackSlotsSaved();
   return N;
 }
 

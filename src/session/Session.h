@@ -18,10 +18,9 @@
 ///  - the HOIST-USR exact-test memo cache,
 ///  - the thread pool,
 ///  - a pool of rt::ExecContext (pooled CompiledPred / CompiledUSR
-///    evaluation frames + their BindingsStamp rebind bookkeeping), leased
-///    one per execution, so repeated executions skip frame allocation and
-///    — when the bindings are unchanged — symbol re-binding entirely,
-///    while *concurrent* executions never share mutable frames.
+///    evaluation frames), leased one per execution, so repeated
+///    executions skip frame allocation while *concurrent* executions
+///    never share mutable frames.
 ///
 /// run() executes one loop under its cached plan; runBatch() executes it
 /// M times back-to-back (the serve-heavy-repeated-traffic shape);
@@ -62,13 +61,6 @@ struct SessionOptions {
   /// interval-run USR engine (default) or the reference interpreter
   /// (A/B measurement, parity oracle).
   bool UseCompiledUSRs = true;
-  /// Enable the block-vectorized evaluation tier (default): compiled
-  /// cascade stages sweep their root loop pdag::ExprBlockWidth iterations
-  /// per dispatch when the Auto governor selects it, and exact-test gate
-  /// predicates batch recurrence sweeps. Off pins every compiled
-  /// evaluation to the scalar bytecode tier (A/B measurement; results
-  /// are bit-identical either way).
-  bool UseBlockEval = true;
   /// Default analyzer options for plans prepared without explicit
   /// options. Per-loop knobs (probe bindings, hoistable context) go
   /// through prepare(Loop, Opts).
@@ -203,16 +195,16 @@ public:
 
   /// Executes \p Loop \p Repeats times back-to-back against the same
   /// memory and bindings; returns per-execution stats. Execution 2..N is
-  /// the steady state the session exists for: zero per-execution
-  /// re-setup.
+  /// the steady state the session exists for: no analysis, no frame
+  /// allocation, and runtime-test memo hits.
   std::vector<rt::ExecStats> runBatch(const ir::DoLoop &Loop, rt::Memory &M,
                                       sym::Bindings &B, unsigned Repeats);
 
   /// runBatch() with a caller hook invoked before every element:
   /// BetweenElements(E, M, B) may rebind scalars/arrays (the per-request
-  /// data refresh shape). Rebinding between elements bumps the bindings
-  /// stamp, so element E+1 pays a full frame re-bind and stays exact;
-  /// untouched bindings keep the zero-re-setup steady state.
+  /// data refresh shape). Every element binds its pooled frames from the
+  /// bindings as they stand, so a rebind between elements is always seen;
+  /// unchanged inputs are served by the runtime-test memo.
   std::vector<rt::ExecStats>
   runBatch(const ir::DoLoop &Loop, rt::Memory &M, sym::Bindings &B,
            unsigned Repeats,
@@ -267,7 +259,6 @@ public:
     plan::CodegenKey CG;
     CG.UseCompiledPredicates = Opts.UseCompiledPredicates;
     CG.UseCompiledUSRs = Opts.UseCompiledUSRs;
-    CG.UseBlockEval = Opts.UseBlockEval;
     return CG;
   }
 
@@ -291,10 +282,6 @@ public:
   /// Number of pooled per-predicate evaluation frames, summed over every
   /// execution context the session has created.
   size_t numPooledFrames() const HALO_EXCLUDES(CtxMutex);
-  /// Stack slots the exact-depth frame sizing saved across every pooled
-  /// predicate and USR frame (vs. the old code-length-based bound),
-  /// summed over every execution context.
-  size_t pooledFrameSlotsSaved() const HALO_EXCLUDES(CtxMutex);
   /// Number of rt::ExecContexts created so far — its high-water mark is
   /// the session's peak execution concurrency.
   size_t numExecContexts() const HALO_EXCLUDES(CtxMutex);

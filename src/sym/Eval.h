@@ -19,7 +19,6 @@
 
 #include "sym/Expr.h"
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -40,63 +39,21 @@ struct ArrayBinding {
   int64_t at(int64_t I) const { return Vals[static_cast<size_t>(I - Lo)]; }
 };
 
-/// Identity stamp of a Bindings object at a point in time. Two equal
-/// stamps guarantee the *same live object, unmutated in between*: the Id
-/// half is drawn from a process-global counter at construction (never
-/// reused, not even by an object reincarnated at the same address) and the
-/// Mut half counts mutations. Pooled evaluation frames
-/// (pdag::CompiledPred::PooledFrame) compare stamps to skip symbol
-/// re-binding across repeated evaluations against unchanged bindings.
-struct BindingsStamp {
-  uint64_t Id = 0;
-  uint64_t Mut = 0;
-  bool operator==(const BindingsStamp &O) const {
-    return Id == O.Id && Mut == O.Mut;
-  }
-  bool operator!=(const BindingsStamp &O) const { return !(*this == O); }
-};
-
 /// Maps symbols to concrete runtime values. Index arrays are held behind
 /// shared immutable storage so copying a Bindings (one per worker thread
 /// in the parallel executor) is cheap.
-///
-/// Every object carries a BindingsStamp; copies get a fresh identity (a
-/// stamp never survives into an object with potentially different
-/// content or lifetime), and mutation bumps the cheap non-atomic Mut
-/// counter — setScalar sits on the interpreted-loop hot path, so no
-/// atomic is touched there.
 class Bindings {
 public:
-  Bindings() : Id(nextId()) {}
-  Bindings(const Bindings &O)
-      : Scalars(O.Scalars), Arrays(O.Arrays), Id(nextId()) {}
-  Bindings &operator=(const Bindings &O) {
-    Scalars = O.Scalars;
-    Arrays = O.Arrays;
-    ++Mut;
-    return *this;
-  }
-
-  void setScalar(SymbolId S, int64_t V) {
-    Scalars[S] = V;
-    ++Mut;
-  }
-  void clearScalar(SymbolId S) {
-    Scalars.erase(S);
-    ++Mut;
-  }
+  void setScalar(SymbolId S, int64_t V) { Scalars[S] = V; }
+  void clearScalar(SymbolId S) { Scalars.erase(S); }
   void setArray(SymbolId S, ArrayBinding A) {
     Arrays[S] = std::make_shared<ArrayBinding>(std::move(A));
-    ++Mut;
   }
   /// Binds \p S to already-shared immutable storage (zero-copy: the
   /// runtime-test memo republishes stored CIV arrays through this).
   void setArray(SymbolId S, std::shared_ptr<const ArrayBinding> A) {
     Arrays[S] = std::move(A);
-    ++Mut;
   }
-
-  BindingsStamp stamp() const { return BindingsStamp{Id, Mut}; }
 
   std::optional<int64_t> scalar(SymbolId S) const {
     auto It = Scalars.find(S);
@@ -130,15 +87,8 @@ public:
   }
 
 private:
-  static uint64_t nextId() {
-    static std::atomic<uint64_t> Counter{1};
-    return Counter.fetch_add(1, std::memory_order_relaxed);
-  }
-
   std::unordered_map<SymbolId, int64_t> Scalars;
   std::unordered_map<SymbolId, std::shared_ptr<const ArrayBinding>> Arrays;
-  uint64_t Id = 0;
-  uint64_t Mut = 0;
 };
 
 /// Evaluates \p E under \p B; returns nullopt when a symbol is unbound or an

@@ -761,10 +761,6 @@ struct CompiledUSR::Frame {
   std::vector<int64_t> Odo;
   std::vector<std::pair<uint32_t, int64_t>> Ovr; // gate slot overrides
   std::vector<int64_t> PtsScratch; // cluster expansion (non-reentrant use)
-  /// Batch variant gate probes over recurrence sweeps (set per entry
-  /// point from the caller's BlockGates; results are bit-identical either
-  /// way, see CompiledUSR::batchableGate).
-  bool BlockGates = true;
   USREvalStats Stats;
 };
 
@@ -793,7 +789,7 @@ BufLease::BufLease(CompiledUSR::Frame &F) : F(F) {
 }
 BufLease::~BufLease() { --F.BufTop; }
 
-bool CompiledUSR::bindFrame(Frame &F, const sym::Bindings &B) const {
+void CompiledUSR::bindFrame(Frame &F, const sym::Bindings &B) const {
   F.ScalarVals.assign(ScalarSlots.size(), 0);
   F.ScalarBound.assign(ScalarSlots.size(), 0);
   for (size_t I = 0; I < ScalarSlots.size(); ++I)
@@ -809,7 +805,6 @@ bool CompiledUSR::bindFrame(Frame &F, const sym::Bindings &B) const {
   F.RecurCaches.assign(Recurs.size(), Frame::RecurCache());
   F.RunSP = 0;
   F.BufTop = 0;
-  return true;
 }
 
 std::optional<int64_t> CompiledUSR::evalExpr(uint32_t Begin, uint32_t End,
@@ -977,7 +972,6 @@ uint8_t CompiledUSR::evalGate(const CompiledUSRGate &G, Frame &F,
   if (G.Invariant) {
     int8_t &M = F.GateMemo[G.MemoSlot];
     if (M < 0) {
-      ++F.Stats.GateScalarEvals;
       auto V = G.Pred->eval(B);
       M = !V ? 2 : (*V ? 1 : 0);
     }
@@ -989,110 +983,9 @@ uint8_t CompiledUSR::evalGate(const CompiledUSRGate &G, Frame &F,
     if (F.ScalarBound[Feed.OurSlot])
       F.Ovr.emplace_back(Feed.PredSlot, F.ScalarVals[Feed.OurSlot]);
   }
-  ++F.Stats.GateScalarEvals;
   auto V = G.Pred->evalWithSlots(B, F.Ovr.data(), F.Ovr.size());
   return !V ? uint8_t(2) : (*V ? uint8_t(1) : uint8_t(0));
 }
-
-const CompiledUSRGate *
-CompiledUSR::batchableGate(const CompiledUSRRecur &R,
-                           uint32_t &PredVarSlot) const {
-  if (R.BodyBegin >= R.BodyEnd ||
-      Code[R.BodyBegin].Opcode != USRInstr::Op::Gate ||
-      Code[R.BodyBegin].B != R.BodyEnd)
-    return nullptr;
-  const CompiledUSRGate &G = Gates[Code[R.BodyBegin].A];
-  if (G.Invariant || !G.Pred || !G.Pred->blockableMain())
-    return nullptr;
-  bool HaveVar = false;
-  for (uint32_t FI = G.FeedBegin; FI != G.FeedEnd; ++FI)
-    if (GateFeeds[FI].OurSlot == R.VarSlot) {
-      PredVarSlot = GateFeeds[FI].PredSlot;
-      HaveVar = true;
-      break;
-    }
-  if (!HaveVar)
-    return nullptr;
-  // Uniformity of the non-variable overrides across a block: no nested
-  // recurrence inside the gated child may write another feed slot. (The
-  // interpreter's leftover-binding quirk — an originally-unbound variable
-  // keeps its last iteration value — would otherwise leak
-  // iteration-varying values into what the block probe treats as
-  // constants. Writes to R's own variable are fine: it was bound by this
-  // sweep, so nested recurrences always restore it, and the probe feeds
-  // it per lane anyway.)
-  std::vector<std::pair<uint32_t, uint32_t>> Regions{
-      {R.BodyBegin + 1, R.BodyEnd}};
-  std::vector<uint8_t> CallSeen(Calls.size(), 0);
-  while (!Regions.empty()) {
-    auto [Begin, End] = Regions.back();
-    Regions.pop_back();
-    for (uint32_t Ip = Begin; Ip != End; ++Ip) {
-      const USRInstr &I = Code[Ip];
-      if (I.Opcode == USRInstr::Op::Recur) {
-        uint32_t WSlot = Recurs[I.A].VarSlot;
-        if (WSlot != R.VarSlot)
-          for (uint32_t FI = G.FeedBegin; FI != G.FeedEnd; ++FI)
-            if (GateFeeds[FI].OurSlot == WSlot)
-              return nullptr;
-      } else if (I.Opcode == USRInstr::Op::Call && !CallSeen[I.A]) {
-        CallSeen[I.A] = 1;
-        Regions.push_back({Calls[I.A].Begin, Calls[I.A].End});
-      }
-    }
-  }
-  return &G;
-}
-
-namespace {
-
-/// Block-batched probe of a recurrence-guarding gate predicate: the
-/// tri-states of up to pdag::ExprBlockWidth consecutive iteration values
-/// are fetched with one predicate dispatch (one predicate-frame bind
-/// amortized over the block), refilled as the ascending iteration sweep
-/// crosses block boundaries. Each lane is bit-identical to the scalar
-/// evalGate probe at that iteration (precondition:
-/// CompiledUSR::batchableGate returned the gate).
-class GateSweep {
-public:
-  GateSweep(const CompiledUSR::Frame &F, const CompiledUSRGate &G,
-            const std::vector<CompiledUSRGateFeed> &Feeds,
-            uint32_t OurVarSlot, uint32_t PredVarSlot)
-      : G(G), PredVarSlot(PredVarSlot) {
-    for (uint32_t FI = G.FeedBegin; FI != G.FeedEnd; ++FI) {
-      const CompiledUSRGateFeed &Feed = Feeds[FI];
-      if (Feed.OurSlot != OurVarSlot && F.ScalarBound[Feed.OurSlot])
-        Ovr.emplace_back(Feed.PredSlot, F.ScalarVals[Feed.OurSlot]);
-    }
-  }
-
-  /// Tri-state of the gate at iteration \p It (ascending queries only;
-  /// \p Hi clamps the refill so no lane probes past the sweep's range).
-  uint8_t at(int64_t It, int64_t Hi, CompiledUSR::Frame &F,
-             const sym::Bindings &B) {
-    if (Cnt == 0 || It >= Base + static_cast<int64_t>(Cnt)) {
-      Base = It;
-      Cnt = static_cast<unsigned>(
-          std::min<int64_t>(pdag::ExprBlockWidth, Hi - It + 1));
-      pdag::EvalStats PS;
-      G.Pred->evalTriBlock(B, Ovr.data(), Ovr.size(), PredVarSlot, Base,
-                           Cnt, Tri, &PS);
-      ++F.Stats.GateBlockEvals;
-      F.Stats.GateLanesPoisoned += PS.LanesPoisoned;
-    }
-    return Tri[It - Base];
-  }
-
-private:
-  const CompiledUSRGate &G;
-  uint32_t PredVarSlot;
-  std::vector<std::pair<uint32_t, int64_t>> Ovr;
-  uint8_t Tri[pdag::ExprBlockWidth] = {};
-  int64_t Base = 0;
-  unsigned Cnt = 0;
-};
-
-} // namespace
 
 CompiledUSR::Status CompiledUSR::evalRecur(const USRInstr &I, uint32_t &Ip,
                                            uint32_t RegionEnd, Frame &F,
@@ -1117,36 +1010,14 @@ CompiledUSR::Status CompiledUSR::evalRecur(const USRInstr &I, uint32_t &Ip,
     }
   };
 
-  // Batched gate tier: when the body is a single variant gate over a
-  // loop-free predicate, the iteration sweep probes it ExprBlockWidth
-  // iterations per dispatch instead of one frame bind per iteration.
-  uint32_t PredVarSlot = 0;
-  const CompiledUSRGate *BG =
-      F.BlockGates ? batchableGate(R, PredVarSlot) : nullptr;
-
   if (EmptyMode && I.Deciding) {
     // Emptiness of a union over iterations: every body must be empty; no
     // set is ever accumulated, so no cap applies here.
     Status St = Status::Ok;
-    std::optional<GateSweep> Sweep;
-    if (BG)
-      Sweep.emplace(F, *BG, GateFeeds, R.VarSlot, PredVarSlot);
     for (int64_t It = *Lo; It <= *Hi; ++It) {
       F.ScalarVals[R.VarSlot] = It;
       F.ScalarBound[R.VarSlot] = 1;
-      if (BG) {
-        ++F.Stats.NodesVisited; // the Gate instruction, as run() counts it
-        uint8_t Tri = Sweep->at(It, *Hi, F, B);
-        if (Tri == 2) {
-          St = Status::Fail;
-          break;
-        }
-        if (Tri == 0) // Gate false: this iteration's set is empty.
-          continue;
-        St = run(R.BodyBegin + 1, R.BodyEnd, F, B, Cap, EmptyMode);
-      } else {
-        St = run(R.BodyBegin, R.BodyEnd, F, B, Cap, EmptyMode);
-      }
+      St = run(R.BodyBegin, R.BodyEnd, F, B, Cap, EmptyMode);
       if (St != Status::Ok)
         break;
       --F.RunSP; // Discard the body's (empty) result.
@@ -1179,25 +1050,10 @@ CompiledUSR::Status CompiledUSR::evalRecur(const USRInstr &I, uint32_t &Ip,
   }
 
   Status St = Status::Ok;
-  std::optional<GateSweep> Sweep;
-  if (BG && Start <= *Hi)
-    Sweep.emplace(F, *BG, GateFeeds, R.VarSlot, PredVarSlot);
   for (int64_t It = Start; It <= *Hi; ++It) {
     F.ScalarVals[R.VarSlot] = It;
     F.ScalarBound[R.VarSlot] = 1;
-    if (BG) {
-      ++F.Stats.NodesVisited; // the Gate instruction, as run() counts it
-      uint8_t Tri = Sweep->at(It, *Hi, F, B);
-      if (Tri == 2) {
-        St = Status::Fail;
-        break;
-      }
-      if (Tri == 0) // Gate false: this iteration contributes nothing.
-        continue;
-      St = run(R.BodyBegin + 1, R.BodyEnd, F, B, Cap, EmptyMode);
-    } else {
-      St = run(R.BodyBegin, R.BodyEnd, F, B, Cap, EmptyMode);
-    }
+    St = run(R.BodyBegin, R.BodyEnd, F, B, Cap, EmptyMode);
     if (St != Status::Ok)
       break;
     RunVec &V = F.RunStack[--F.RunSP];
@@ -1379,10 +1235,9 @@ CompiledUSR::Status CompiledUSR::run(uint32_t Begin, uint32_t End, Frame &F,
 //===----------------------------------------------------------------------===//
 
 /// Reusable per-thread frame: bindFrame() resizes with assign()/resize(),
-/// so after warm-up repeated scratch evaluations allocate little. The
-/// scratch paths bind on every call (so recurrence/gate caches never leak
-/// across unrelated bindings or caps); cross-evaluation reuse is the
-/// pooled frames' job.
+/// so after warm-up repeated scratch evaluations allocate little. Every
+/// entry point binds on every call, so recurrence/gate caches never leak
+/// across unrelated bindings or caps.
 CompiledUSR::Frame &CompiledUSR::scratchFrame() {
   thread_local Frame F;
   return F;
@@ -1404,22 +1259,19 @@ std::optional<bool> CompiledUSR::finishEmpty(Status St, Frame &F,
 }
 
 std::optional<bool> CompiledUSR::evalEmpty(const sym::Bindings &B, size_t Cap,
-                                           USREvalStats *Stats,
-                                           bool BlockGates) const {
+                                           USREvalStats *Stats) const {
   Frame &F = scratchFrame();
   F.Stats = USREvalStats();
-  F.BlockGates = BlockGates;
   bindFrame(F, B);
   Status St = run(0, MainCodeEnd, F, B, Cap, /*EmptyMode=*/true);
   return finishEmpty(St, F, Stats);
 }
 
 std::optional<RunVec> CompiledUSR::evalRuns(const sym::Bindings &B,
-                                            size_t Cap, USREvalStats *Stats,
-                                            bool BlockGates) const {
+                                            size_t Cap,
+                                            USREvalStats *Stats) const {
   Frame &F = scratchFrame();
   F.Stats = USREvalStats();
-  F.BlockGates = BlockGates;
   bindFrame(F, B);
   Status St = run(0, MainCodeEnd, F, B, Cap, /*EmptyMode=*/false);
   if (Stats)
@@ -1431,8 +1283,8 @@ std::optional<RunVec> CompiledUSR::evalRuns(const sym::Bindings &B,
 
 std::optional<std::vector<int64_t>>
 CompiledUSR::evalPoints(const sym::Bindings &B, size_t Cap,
-                        USREvalStats *Stats, bool BlockGates) const {
-  auto Runs = evalRuns(B, Cap, Stats, BlockGates);
+                        USREvalStats *Stats) const {
+  auto Runs = evalRuns(B, Cap, Stats);
   if (!Runs)
     return std::nullopt;
   return expandRuns(*Runs);
@@ -1448,33 +1300,21 @@ CompiledUSR::PooledFrame::PooledFrame(PooledFrame &&) noexcept = default;
 CompiledUSR::PooledFrame &
 CompiledUSR::PooledFrame::operator=(PooledFrame &&) noexcept = default;
 
-bool CompiledUSR::bindPooled(PooledFrame &PF, const sym::Bindings &B) const {
+CompiledUSR::Frame &CompiledUSR::bindPooled(PooledFrame &PF,
+                                            const sym::Bindings &B) const {
   if (!PF.Main)
     PF.Main = std::make_unique<Frame>();
-  const sym::BindingsStamp S = B.stamp();
-  // Stamp equality guarantees B is the same live object, unmutated since
-  // the frame was bound: slot values, array pointers, the invariant-gate
-  // memo and the recurrence prefix caches all stay exact.
-  if (PF.BoundTo == this && PF.Stamp == S)
-    return true;
-  bindFrame(*PF.Main, B);
-  PF.BoundTo = this;
-  PF.Stamp = S;
-  PF.WorkersValid = false;
-  return false;
+  Frame &F = *PF.Main;
+  bindFrame(F, B);
+  F.Stats = USREvalStats();
+  return F;
 }
 
 std::optional<bool> CompiledUSR::evalEmptyPooled(PooledFrame &PF,
                                                  const sym::Bindings &B,
                                                  size_t Cap,
-                                                 USREvalStats *Stats,
-                                                 bool BlockGates) const {
-  bindPooled(PF, B);
-  Frame &F = *PF.Main;
-  F.Stats = USREvalStats();
-  F.BlockGates = BlockGates;
-  F.RunSP = 0;
-  F.BufTop = 0;
+                                                 USREvalStats *Stats) const {
+  Frame &F = bindPooled(PF, B);
   Status St = run(0, MainCodeEnd, F, B, Cap, /*EmptyMode=*/true);
   return finishEmpty(St, F, Stats);
 }
@@ -1483,18 +1323,12 @@ std::optional<bool>
 CompiledUSR::evalEmptyParallel(PooledFrame &PF, const sym::Bindings &B,
                                ThreadPool &Pool, size_t Cap,
                                USREvalStats *Stats, int64_t MinParallelIters,
-                               const support::CancelToken *Cancel,
-                               bool BlockGates) const {
+                               const support::CancelToken *Cancel) const {
   if (support::stopRequested(Cancel))
     return std::nullopt; // Cancelled: no (cacheable) answer.
   if (RootRecur < 0 || Pool.numThreads() <= 1)
-    return evalEmptyPooled(PF, B, Cap, Stats, BlockGates);
-  bindPooled(PF, B);
-  Frame &F = *PF.Main;
-  F.Stats = USREvalStats();
-  F.BlockGates = BlockGates;
-  F.RunSP = 0;
-  F.BufTop = 0;
+    return evalEmptyPooled(PF, B, Cap, Stats);
+  Frame &F = bindPooled(PF, B);
   const CompiledUSRRecur &R = Recurs[static_cast<size_t>(RootRecur)];
   auto Lo = evalExpr(R.LoBegin, R.LoEnd, F);
   auto Hi = evalExpr(R.HiBegin, R.HiEnd, F);
@@ -1514,19 +1348,12 @@ CompiledUSR::evalEmptyParallel(PooledFrame &PF, const sym::Bindings &B,
     return finishEmpty(St, F, Stats);
   }
 
-  // Pooled worker frames are copied from the bound main frame on (re)bind
-  // and reused while the stamp is unchanged (their prefix caches and gate
-  // memos stay warm per worker).
-  if (PF.Workers.size() < NT) {
+  // Pooled worker frames are copy-assigned from the freshly bound main
+  // frame, so their buffers keep capacity across evaluations.
+  if (PF.Workers.size() < NT)
     PF.Workers.resize(NT);
-    PF.WorkersValid = false;
-  }
-  if (!PF.WorkersValid || PF.WorkersBoundFor < NT) {
-    for (unsigned W = 0; W < NT; ++W)
-      PF.Workers[W] = F;
-    PF.WorkersBoundFor = NT;
-    PF.WorkersValid = true;
-  }
+  for (unsigned W = 0; W < NT; ++W)
+    PF.Workers[W] = F;
 
   // Exact first-failure frontier (the parallelAllOf protocol shared with
   // the compiled predicates): a worker stops once its iteration lies past
@@ -1539,45 +1366,23 @@ CompiledUSR::evalEmptyParallel(PooledFrame &PF, const sym::Bindings &B,
   std::vector<int64_t> BadAt(NT, INT64_MAX);
   std::vector<USREvalStats> WorkerStats(NT);
 
-  // Batched gate tier for the fanned-out sweep (see evalRecur): block
-  // refills clamp to the chunk, so chunk boundaries stay the exact
-  // first-failure / cancellation check points.
-  uint32_t PredVarSlot = 0;
-  const CompiledUSRGate *BG =
-      BlockGates ? batchableGate(R, PredVarSlot) : nullptr;
-
   Pool.parallelAllOf(
       *Lo, *Hi + 1,
       [&](int64_t BLo, int64_t BHi, unsigned W, std::atomic<bool> &) -> bool {
         Frame &FW = PF.Workers[W];
         FW.Stats = USREvalStats();
-        FW.BlockGates = BlockGates;
         FW.RunSP = 0;
         FW.BufTop = 0;
         const int64_t SavedVal = FW.ScalarVals[R.VarSlot];
         const uint8_t SavedBound = FW.ScalarBound[R.VarSlot];
-        std::optional<GateSweep> Sweep;
-        if (BG)
-          Sweep.emplace(FW, *BG, GateFeeds, R.VarSlot, PredVarSlot);
         bool Ok = true;
         for (int64_t It = BLo; It < BHi; ++It) {
           if (It > FirstBad.load(std::memory_order_relaxed))
             break;
           FW.ScalarVals[R.VarSlot] = It;
           FW.ScalarBound[R.VarSlot] = 1;
-          Status St;
-          if (BG) {
-            ++FW.Stats.NodesVisited; // the Gate instruction
-            uint8_t Tri = Sweep->at(It, BHi - 1, FW, B);
-            if (Tri == 0) // Gate false: this iteration's set is empty.
-              continue;
-            St = Tri == 2 ? Status::Fail
-                          : run(R.BodyBegin + 1, R.BodyEnd, FW, B, Cap,
-                                /*EmptyMode=*/true);
-          } else {
-            St = run(R.BodyBegin, R.BodyEnd, FW, B, Cap,
-                     /*EmptyMode=*/true);
-          }
+          const Status St =
+              run(R.BodyBegin, R.BodyEnd, FW, B, Cap, /*EmptyMode=*/true);
           if (St == Status::Ok) {
             --FW.RunSP; // Discard the body's (empty) result.
             continue;

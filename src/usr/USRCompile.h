@@ -170,11 +170,10 @@ public:
       std::function<const pdag::CompiledPred *(const pdag::Pred *)>;
 
   /// Caller-owned reusable evaluation frame (analyze-once / execute-many):
-  /// the first eval against a Bindings binds every symbol slot; later
-  /// evals with an unchanged sym::BindingsStamp skip allocation and
-  /// re-binding and keep the invariant-gate memo and recurrence prefix
-  /// caches warm (both depend only on the bindings). A frame belongs to
-  /// one CompiledUSR at a time and must not be used concurrently.
+  /// every eval re-binds the symbol slots (resetting the invariant-gate
+  /// memo and recurrence prefix caches) into buffers that keep their
+  /// capacity, so steady-state evaluations allocate nothing. A frame may
+  /// serve any CompiledUSR but must not be used concurrently.
   class PooledFrame {
   public:
     PooledFrame();
@@ -188,10 +187,6 @@ public:
     friend class CompiledUSR;
     std::unique_ptr<Frame> Main;
     std::vector<Frame> Workers;
-    const CompiledUSR *BoundTo = nullptr;
-    sym::BindingsStamp Stamp;
-    unsigned WorkersBoundFor = 0;
-    bool WorkersValid = false;
   };
 
   /// Lowers \p S. \p Ctx must be the symbol context it was built against.
@@ -207,21 +202,16 @@ public:
 
   /// Emptiness-only evaluation: same contract as usr::evalUSREmpty
   /// (nullopt on evaluation failure; "not empty" short-circuits before
-  /// any cap at union polarity). \p BlockGates selects the batched gate
-  /// tier: variant gate predicates guarding a whole recurrence body are
-  /// probed pdag::ExprBlockWidth iterations per dispatch (bit-identical
-  /// per-iteration tri-states; see batchableGate).
+  /// any cap at union polarity).
   std::optional<bool> evalEmpty(const sym::Bindings &B,
                                 size_t Cap = 1u << 22,
-                                USREvalStats *Stats = nullptr,
-                                bool BlockGates = true) const;
+                                USREvalStats *Stats = nullptr) const;
 
   /// evalEmpty against a caller-owned pooled frame.
   std::optional<bool> evalEmptyPooled(PooledFrame &PF,
                                       const sym::Bindings &B,
                                       size_t Cap = 1u << 22,
-                                      USREvalStats *Stats = nullptr,
-                                      bool BlockGates = true) const;
+                                      USREvalStats *Stats = nullptr) const;
 
   /// evalEmpty with a root recurrence chunked across \p Pool under the
   /// exact first-failure protocol: the merged answer (outcome at the
@@ -234,22 +224,19 @@ public:
   evalEmptyParallel(PooledFrame &PF, const sym::Bindings &B, ThreadPool &Pool,
                     size_t Cap = 1u << 22, USREvalStats *Stats = nullptr,
                     int64_t MinParallelIters = 2048,
-                    const support::CancelToken *Cancel = nullptr,
-                    bool BlockGates = true) const;
+                    const support::CancelToken *Cancel = nullptr) const;
 
   /// Full evaluation to canonical runs. Same failure contract as
   /// usr::evalUSR.
   std::optional<RunVec> evalRuns(const sym::Bindings &B,
                                  size_t Cap = 1u << 22,
-                                 USREvalStats *Stats = nullptr,
-                                 bool BlockGates = true) const;
+                                 USREvalStats *Stats = nullptr) const;
 
   /// Full evaluation expanded to the sorted point set: bit-identical to
   /// usr::evalUSR on every input (the parity-test entry point).
   std::optional<std::vector<int64_t>>
   evalPoints(const sym::Bindings &B, size_t Cap = 1u << 22,
-             USREvalStats *Stats = nullptr,
-             bool BlockGates = true) const;
+             USREvalStats *Stats = nullptr) const;
 
   const USR *source() const { return Source; }
   size_t codeSize() const { return Code.size() + XCode.size(); }
@@ -257,19 +244,15 @@ public:
   size_t numRecurs() const { return Recurs.size(); }
   /// True when evalEmptyParallel can actually fan out.
   bool hasParallelRoot() const { return RootRecur >= 0; }
-  /// Expression-stack slots the exact-depth precompute saves per bound
-  /// frame, relative to the old code-length-based over-allocation.
-  /// Surfaced through rt::FramePoolOf stats.
-  size_t frameStackSlotsSaved() const { return XCode.size() + 1 - XMaxDepth; }
 
 private:
   CompiledUSR() = default;
 
   enum class Status : uint8_t { Ok, Fail, NotEmpty };
 
-  bool bindFrame(Frame &F, const sym::Bindings &B) const;
-  /// Binds (or reuses) the pooled main frame; returns true on reuse.
-  bool bindPooled(PooledFrame &PF, const sym::Bindings &B) const;
+  void bindFrame(Frame &F, const sym::Bindings &B) const;
+  /// Binds the pooled main frame for \p B and resets its statistics.
+  Frame &bindPooled(PooledFrame &PF, const sym::Bindings &B) const;
   static Frame &scratchFrame();
 
   Status run(uint32_t Begin, uint32_t End, Frame &F, const sym::Bindings &B,
@@ -282,16 +265,6 @@ private:
   /// Tri-state: 0 false, 1 true, 2 unknown (evaluation failure).
   uint8_t evalGate(const CompiledUSRGate &G, Frame &F,
                    const sym::Bindings &B) const;
-  /// The gate of \p R when its iteration sweep may be block-batched: the
-  /// body is a single variant gate spanning the whole body, the gate
-  /// predicate is loop-free (blockableMain), a feed carries R's variable
-  /// (its pred slot is returned in \p PredVarSlot), and no *other* feed
-  /// slot is written by a nested recurrence inside the gated child — so
-  /// the non-variable overrides are uniform across the block and each
-  /// lane's tri-state is bit-identical to the scalar probe at that
-  /// iteration. Returns nullptr otherwise.
-  const CompiledUSRGate *batchableGate(const CompiledUSRRecur &R,
-                                       uint32_t &PredVarSlot) const;
   std::optional<int64_t> evalExpr(uint32_t Begin, uint32_t End,
                                   Frame &F) const;
   std::optional<bool> finishEmpty(Status St, Frame &F,

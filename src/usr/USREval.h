@@ -44,17 +44,6 @@ struct USREvalStats {
   /// them — the enumeration work the run representation avoided relative
   /// to this point-materializing interpreter.
   uint64_t PointsAvoided = 0;
-  /// Gate-predicate dispatches served by the block tier: one dispatch
-  /// probes up to pdag::ExprBlockWidth consecutive recurrence iterations
-  /// with a single predicate-frame bind (compiled engine only).
-  uint64_t GateBlockEvals = 0;
-  /// Gate-predicate dispatches that ran one iteration at a time (invariant
-  /// gates on a memo miss, non-batchable recurrence shapes, or block gate
-  /// evaluation off).
-  uint64_t GateScalarEvals = 0;
-  /// Block gate lanes that hit an unbound scalar or out-of-bounds read and
-  /// degraded (that lane only) to the conservative-unknown tri-state.
-  uint64_t GateLanesPoisoned = 0;
   /// Exact-test evaluations that fell back to this reference interpreter
   /// because CompiledUSR lowering tripped a resource guard (depth or
   /// bytecode-size cap — see pdag/ExprCode.h); bumped by the rt layer's
@@ -66,9 +55,6 @@ struct USREvalStats {
     PointsMaterialized += O.PointsMaterialized;
     RunsProduced += O.RunsProduced;
     PointsAvoided += O.PointsAvoided;
-    GateBlockEvals += O.GateBlockEvals;
-    GateScalarEvals += O.GateScalarEvals;
-    GateLanesPoisoned += O.GateLanesPoisoned;
     GuardDemotions += O.GuardDemotions;
     return *this;
   }

@@ -189,8 +189,6 @@ void expectSameSplit(const rt::ExecStats &Cold, const rt::ExecStats &Warm,
   EXPECT_EQ(Cold.InterpPredEvals, Warm.InterpPredEvals) << What;
   EXPECT_EQ(Cold.CompiledUSREvals, Warm.CompiledUSREvals) << What;
   EXPECT_EQ(Cold.InterpUSREvals, Warm.InterpUSREvals) << What;
-  EXPECT_EQ(Cold.BlockEvals, Warm.BlockEvals) << What;
-  EXPECT_EQ(Cold.ScalarEvals, Warm.ScalarEvals) << What;
   EXPECT_EQ(Cold.GuardDemotions, Warm.GuardDemotions) << What;
 }
 
@@ -235,12 +233,10 @@ TEST(PlanRoundTrip, SuiteLoopsAdoptWithoutReanalysis) {
 // Fuzzed nests: save from one generated case, regenerate the recipe (fresh
 // contexts), load, execute. Memory must match bit-for-bit and the
 // compiled/interpreted stats split must be identical — the warm plan runs
-// the exact same engine tiers as the cold one. Alternating UseBlockEval
-// covers the block-vectorized tier on both sides of the round trip, and a
-// second warm run on identical inputs pins the runtime-test memo of the
-// adopted plan.
+// the exact same engine tiers as the cold one. A second warm run on
+// identical inputs pins the runtime-test memo of the adopted plan.
 TEST(PlanRoundTrip, FuzzedNestsExecuteIdentically) {
-  uint64_t FrameReuse = 0, CompiledEvals = 0, MemoHits = 0;
+  uint64_t FrameBinds = 0, CompiledEvals = 0, MemoHits = 0;
   for (uint64_t Seed = 1; Seed <= NumRoundTripSeeds; ++Seed) {
     SCOPED_TRACE("seed " + std::to_string(Seed));
     fuzz::GenOptions GO;
@@ -250,7 +246,6 @@ TEST(PlanRoundTrip, FuzzedNestsExecuteIdentically) {
 
     session::SessionOptions SO;
     SO.Threads = 1; // Deterministic reduction order: bit-exact compare.
-    SO.UseBlockEval = (Seed % 2) == 0;
     // A tight factorization budget keeps the 300-seed sweep inside the
     // ctest timeout (a few seeds hit multi-second LMAD blowups at the
     // default). Degradation is sound and both sides of the round trip
@@ -282,7 +277,7 @@ TEST(PlanRoundTrip, FuzzedNestsExecuteIdentically) {
     expectSameMemory(MA, MB, "warm vs cold");
     expectSameSplit(ESA, ESB, "warm vs cold");
     CompiledEvals += ESB.CompiledPredEvals + ESB.CompiledUSREvals;
-    FrameReuse += ESB.FrameRebindsSkipped;
+    FrameBinds += ESB.FrameBinds;
 
     // The adopted plan memoizes its verdict: a second warm execution on
     // identical inputs runs no test and still matches.
@@ -296,11 +291,11 @@ TEST(PlanRoundTrip, FuzzedNestsExecuteIdentically) {
     MemoHits += ESB2.TestMemoHits;
   }
   // The sweep as a whole must have exercised the compiled tier, the
-  // pooled-frame fast path and the test memo through adopted plans —
+  // pooled frames and the test memo through adopted plans —
   // otherwise the parity above proved nothing about the warm engine
   // configuration.
   EXPECT_GT(CompiledEvals, 0u);
-  EXPECT_GT(FrameReuse, 0u);
+  EXPECT_GT(FrameBinds, 0u);
   EXPECT_GT(MemoHits, 0u);
 }
 
@@ -409,7 +404,7 @@ TEST(PlanKeys, OptionsChangeFallsBackToAnalysis) {
   GO.Seed = 5;
   auto C = fuzz::generate(GO);
   session::SessionOptions SO;
-  SO.UseBlockEval = false; // Differs from the save-side default (true).
+  SO.UseCompiledUSRs = false; // Differs from the save-side default (true).
   session::Session S(C->prog(), C->usrCtx(), SO);
   plan::LoadResult R = loadBytes(S, Bytes);
   EXPECT_EQ(R.Rejected, 0u);

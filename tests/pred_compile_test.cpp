@@ -187,110 +187,6 @@ TEST_F(PredCompileTest, SharedDagCompilesLinearNotExponential) {
 }
 
 //===----------------------------------------------------------------------===//
-// Block-tier parity (directed)
-//===----------------------------------------------------------------------===//
-
-TEST_F(PredCompileTest, BlockTierTripsStraddlingBlockWidth) {
-  // Root LoopAll trips of W-1, W, W+1 and 2W+1 — every partial-tail shape
-  // around the block width — with a false lane and a poisoned (unknown)
-  // lane planted at every position. Sequential semantics demand the
-  // EARLIEST decision wins, so block evaluation must resolve decisions to
-  // exact iterations, never block granularity. BlockEval::Force and
-  // BlockEval::Off must both match the interpreter bit for bit.
-  const int64_t W = PredBlockWidth;
-  sym::SymbolId I = Sym.symbol("i", 1);
-  sym::SymbolId IB = Sym.symbol("IB", 0, true);
-  // Unknown where IB(i) == 7 (guards an unbound scalar), false where
-  // IB(i) < 0, true elsewhere.
-  const Pred *Body =
-      P.and2(P.or2(P.ne(Sym.arrayRef(IB, Sym.symRef(I)), c(7)),
-                   P.ge0(s("ghost"))),
-             P.ge0(Sym.arrayRef(IB, Sym.symRef(I))));
-  const Pred *L = P.loopAll(I, c(1), s("n"), Body);
-  auto CP = CompiledPred::compile(L, Sym);
-  ThreadPool Pool(4);
-  for (int64_t N : {W - 1, W, W + 1, 2 * W + 1}) {
-    bind("n", N);
-    for (int64_t FalseAt = 0; FalseAt <= N; ++FalseAt) // 0 = no false lane.
-      for (int64_t UnkAt : {int64_t(0), int64_t(1), N / 2, N}) {
-        sym::ArrayBinding A;
-        A.Lo = 1;
-        A.Vals.assign(static_cast<size_t>(N), 1);
-        if (FalseAt)
-          A.Vals[static_cast<size_t>(FalseAt - 1)] = -1;
-        if (UnkAt)
-          A.Vals[static_cast<size_t>(UnkAt - 1)] = 7;
-        B.setArray(IB, A);
-        std::optional<bool> Want;
-        if (UnkAt && (!FalseAt || UnkAt <= FalseAt))
-          Want = std::nullopt; // Unknown lane decides (or overwrote false).
-        else if (FalseAt)
-          Want = false;
-        else
-          Want = true;
-        ASSERT_EQ(tryEvalPred(L, B), Want) << N << " " << FalseAt;
-        EvalStats SB, SS;
-        ASSERT_EQ(CP->eval(B, &SB, BlockEval::Force), Want)
-            << "N=" << N << " FalseAt=" << FalseAt << " UnkAt=" << UnkAt;
-        ASSERT_EQ(CP->eval(B, &SS, BlockEval::Off), Want)
-            << "N=" << N << " FalseAt=" << FalseAt << " UnkAt=" << UnkAt;
-        EXPECT_GE(SB.BlockEvals, 1u);
-        EXPECT_EQ(SS.BlockEvals, 0u);
-        // Chunked-parallel with tiny chunks: the first-failure frontier
-        // must resolve the same exact iteration.
-        ASSERT_EQ(CP->evalParallel(B, Pool, nullptr, /*MinParallelIters=*/1,
-                                   nullptr, BlockEval::Force),
-                  Want)
-            << "N=" << N << " FalseAt=" << FalseAt << " UnkAt=" << UnkAt;
-      }
-  }
-}
-
-TEST_F(PredCompileTest, BlockTierMidBlockOutOfBoundsRead) {
-  // The bound array ends mid-block: lanes past the end poison (exactly as
-  // the interpreter's conservative-unknown OOB contract), lanes before it
-  // stay live — including a false lane after the block's first OOB lane,
-  // which must NOT decide because the earlier unknown wins.
-  const int64_t W = PredBlockWidth;
-  sym::SymbolId I = Sym.symbol("i", 1);
-  sym::SymbolId IB = Sym.symbol("IB", 0, true);
-  const Pred *L =
-      P.loopAll(I, c(1), s("n"), P.ge0(Sym.arrayRef(IB, Sym.symRef(I))));
-  auto CP = CompiledPred::compile(L, Sym);
-  const int64_t N = 2 * W + 5;
-  bind("n", N);
-  for (int64_t Len : {W / 2, W - 1, W + 3, 2 * W + 1}) {
-    sym::ArrayBinding A;
-    A.Lo = 1;
-    A.Vals.assign(static_cast<size_t>(Len), 1);
-    B.setArray(IB, A);
-    EvalStats St;
-    ASSERT_EQ(tryEvalPred(L, B), std::nullopt);
-    ASSERT_EQ(CP->eval(B, &St, BlockEval::Force), std::nullopt) << Len;
-    ASSERT_EQ(CP->eval(B, nullptr, BlockEval::Off), std::nullopt) << Len;
-    EXPECT_GE(St.LanesPoisoned, 1u) << Len;
-    // A false lane BEHIND the first OOB lane (i == Len+2 fails ne, but
-    // the read at Len+1 already poisoned): the earlier unknown decides.
-    const Pred *L2 =
-        P.loopAll(I, c(1), s("n"),
-                  P.and2(P.ge0(Sym.arrayRef(IB, Sym.symRef(I))),
-                         P.ne(Sym.symRef(I), c(Len + 2))));
-    auto CP2 = CompiledPred::compile(L2, Sym);
-    ASSERT_EQ(tryEvalPred(L2, B), std::nullopt);
-    ASSERT_EQ(CP2->eval(B, nullptr, BlockEval::Force), std::nullopt) << Len;
-    ASSERT_EQ(CP2->eval(B, nullptr, BlockEval::Off), std::nullopt) << Len;
-    // And a false lane BEFORE the end of the array: false decides.
-    sym::ArrayBinding A3 = A;
-    A3.Vals[static_cast<size_t>(Len / 2)] = -1;
-    B.setArray(IB, A3);
-    ASSERT_EQ(tryEvalPred(L, B), std::optional<bool>(false));
-    ASSERT_EQ(CP->eval(B, nullptr, BlockEval::Force),
-              std::optional<bool>(false))
-        << Len;
-  }
-}
-
-//===----------------------------------------------------------------------===//
 // Parallel evaluation parity
 //===----------------------------------------------------------------------===//
 
@@ -498,40 +394,10 @@ TEST(PredCompilePropertyTest, CompiledAgreesWithInterpreter) {
   }
 }
 
-TEST(PredCompilePropertyTest, BlockTierAgreesWithScalarAndInterpreter) {
-  // Block-vs-scalar-vs-interpreter, 500 random programs: BlockEval::Force
-  // (blocked wherever the body is structurally blockable, any trip) and
-  // BlockEval::Off (always scalar) must produce identical results, equal
-  // to the reference interpreter — including programs where unbound
-  // scalars and short arrays poison lanes mid-block. The serial and
-  // chunked-parallel (1-iteration chunks) forced paths are both checked.
-  sym::Context Sym;
-  PredContext P(Sym);
-  Rng R(20260808);
-  RandomPredGen Gen(Sym, P, R);
-  ThreadPool Pool(3);
-  for (int Case = 0; Case < 500; ++Case) {
-    const Pred *Pr = Gen.genPred(3, 2);
-    sym::Bindings B = Gen.genBindings();
-    auto Ref = tryEvalPred(Pr, B);
-    auto CP = CompiledPred::compile(Pr, Sym);
-    auto Scalar = CP->eval(B, nullptr, BlockEval::Off);
-    auto Blocked = CP->eval(B, nullptr, BlockEval::Force);
-    auto BlockedPar = CP->evalParallel(B, Pool, nullptr,
-                                       /*MinParallelIters=*/1, nullptr,
-                                       BlockEval::Force);
-    ASSERT_EQ(Scalar, Ref) << "case " << Case << ": " << Pr->toString(Sym);
-    ASSERT_EQ(Blocked, Ref) << "case " << Case << " (block): "
-                            << Pr->toString(Sym);
-    ASSERT_EQ(BlockedPar, Ref) << "case " << Case << " (block parallel): "
-                               << Pr->toString(Sym);
-  }
-}
-
 TEST(PredCompilePropertyTest, PooledFramesMatchInterpreterUnderRebinding) {
   // The analyze-once / execute-many entry point: pooled frames must agree
   // with the reference interpreter whether the bindings changed since the
-  // last evaluation (full re-bind) or not (re-bind skipped, memo warm).
+  // last evaluation or not.
   sym::Context Sym;
   PredContext P(Sym);
   Rng R(777);
@@ -546,16 +412,14 @@ TEST(PredCompilePropertyTest, PooledFramesMatchInterpreterUnderRebinding) {
     for (int Round = 0; Round < 4; ++Round) {
       sym::Bindings &B = (Round % 2) ? B2 : B1;
       auto Ref = tryEvalPred(Pr, B);
-      EvalStats SBind, SReuse;
-      ASSERT_EQ(CP->evalPooled(PF, B, &SBind), Ref)
+      EvalStats SReuse;
+      ASSERT_EQ(CP->evalPooled(PF, B), Ref)
           << "case " << Case << ": " << Pr->toString(Sym);
-      // Nothing touched B since: the re-bind must be skipped and the
-      // result unchanged.
+      // Same bindings again: the frame re-binds and the result holds.
       ASSERT_EQ(CP->evalPooled(PF, B, &SReuse), Ref);
-      EXPECT_EQ(SReuse.FrameBinds, 0u);
-      EXPECT_EQ(SReuse.FrameRebindsSkipped, 1u);
+      EXPECT_EQ(SReuse.FrameBinds, 1u);
       // Parallel pooled path, twice: the second call reuses the
-      // per-worker frame copies.
+      // per-worker frame buffers.
       ASSERT_EQ(CP->evalParallelPooled(PFP, B, Pool, nullptr, 1), Ref)
           << "case " << Case << " (parallel): " << Pr->toString(Sym);
       ASSERT_EQ(CP->evalParallelPooled(PFP, B, Pool, nullptr, 1), Ref);

@@ -53,21 +53,11 @@ protected:
         << "full-eval failure mismatch on " << S->toString(Sym);
     if (Ref && Got)
       EXPECT_EQ(*Ref, *Got) << "point-set mismatch on " << S->toString(Sym);
-    // Batched gate sweeps off: must be bit-identical to the default
-    // (batched) evaluation, including WHICH failure fires.
-    auto GotScalar = CU->evalPoints(B, Cap, nullptr, /*BlockGates=*/false);
-    ASSERT_EQ(Got.has_value(), GotScalar.has_value())
-        << "block/scalar failure mismatch on " << S->toString(Sym);
-    if (Got && GotScalar)
-      EXPECT_EQ(*Got, *GotScalar)
-          << "block/scalar point-set mismatch on " << S->toString(Sym);
 
     sym::Bindings BRefE = B;
     auto RefE = evalUSREmpty(S, BRefE, Cap);
     auto GotE = CU->evalEmpty(B, Cap);
     EXPECT_EQ(RefE, GotE) << "emptiness mismatch on " << S->toString(Sym);
-    EXPECT_EQ(CU->evalEmpty(B, Cap, nullptr, /*BlockGates=*/false), GotE)
-        << "block/scalar emptiness mismatch on " << S->toString(Sym);
     if (Ref && RefE)
       EXPECT_EQ(*RefE, Ref->empty());
   }
@@ -401,9 +391,9 @@ TEST_F(UsrCompileTest, PooledFrameReuseAndInvalidation) {
 
   CompiledUSR::PooledFrame PF;
   EXPECT_EQ(CU->evalEmptyPooled(PF, B), std::make_optional(false));
-  // Same stamp: served again (warm caches), same answer.
+  // Same bindings: re-bound into the same buffers, same answer.
   EXPECT_EQ(CU->evalEmptyPooled(PF, B), std::make_optional(false));
-  // Mutation invalidates: an empty range flips the answer to "empty".
+  // A mutation is seen: an empty range flips the answer to "empty".
   B.setScalar(Sym.symbol("N"), 0);
   EXPECT_EQ(CU->evalEmptyPooled(PF, B), std::make_optional(true));
   // An unbound bound expression fails — on a rebound frame.
@@ -462,57 +452,12 @@ TEST_F(UsrCompileTest, ParallelRecurMatchesSerial) {
   }
 }
 
-TEST_F(UsrCompileTest, BatchedGateSweepTripsStraddlingBlockWidth) {
-  // Gated root recurrence in exactly the batchable shape (the body is one
-  // variant gate over the recurrence variable): trips of W-1, W, W+1 and
-  // 2W+1 with gate-false lanes planted at every position and the bound
-  // array truncated so out-of-bounds gate reads (conservative unknown)
-  // fire mid-block. expectParity cross-checks BlockGates on vs off vs the
-  // interpreter on every combination, for both full and emptiness modes.
-  const int64_t W = static_cast<int64_t>(pdag::PredBlockWidth);
-  sym::SymbolId I = Sym.symbol("i", 1);
-  sym::SymbolId IB = Sym.symbol("IB", 0, true);
-  const USR *Body = U.gate(P.gt(Sym.arrayRef(IB, Sym.symRef(I)), c(0)),
-                           U.interval(Sym.symRef(I), c(1)));
-  for (int64_t N : {W - 1, W, W + 1, 2 * W + 1}) {
-    const USR *R = U.recur(I, c(1), c(N), Body);
-    for (int64_t Drop : {int64_t(0), int64_t(1), N / 2, N})
-      for (int64_t Len : {N, N / 2, W}) {
-        sym::ArrayBinding A;
-        A.Lo = 1;
-        A.Vals.assign(static_cast<size_t>(N), 1);
-        if (Drop)
-          A.Vals[static_cast<size_t>(Drop - 1)] = 0; // Gate-false lane.
-        A.Vals.resize(static_cast<size_t>(std::min(Len, N))); // OOB > Len.
-        sym::Bindings B;
-        B.setArray(IB, A);
-        expectParity(R, B);
-      }
-    // The default path really batches: a full sweep probes the gate in
-    // ceil(N/W) blocks and never scalar; BlockGates off is all-scalar.
-    sym::ArrayBinding A;
-    A.Lo = 1;
-    A.Vals.assign(static_cast<size_t>(N), 1);
-    sym::Bindings B;
-    B.setArray(IB, A);
-    auto CU = CompiledUSR::compile(R, Sym);
-    USREvalStats SBlk, SScl;
-    ASSERT_TRUE(CU->evalPoints(B, 1u << 22, &SBlk).has_value());
-    EXPECT_EQ(SBlk.GateBlockEvals, static_cast<uint64_t>((N + W - 1) / W));
-    EXPECT_EQ(SBlk.GateScalarEvals, 0u);
-    ASSERT_TRUE(
-        CU->evalPoints(B, 1u << 22, &SScl, /*BlockGates=*/false).has_value());
-    EXPECT_EQ(SScl.GateBlockEvals, 0u);
-    EXPECT_EQ(SScl.GateScalarEvals, static_cast<uint64_t>(N));
-  }
-}
-
-TEST_F(UsrCompileTest, BatchedGateParallelFirstDecisionExactness) {
+TEST_F(UsrCompileTest, GatedParallelFirstDecisionExactness) {
   // Emptiness of a gated root recurrence under parallelAllOf chunking:
   // the gate passes only where IB(i) == 5 (nonempty decision) and reads
   // out of bounds past the array end (failure decision). Whichever
-  // iteration comes FIRST must decide — serial and parallel, batched and
-  // scalar, all bit-identical to the interpreter.
+  // iteration comes FIRST must decide — serial and parallel, both
+  // bit-identical to the interpreter.
   sym::SymbolId I = Sym.symbol("i", 1);
   sym::SymbolId IB = Sym.symbol("IB", 0, true);
   const int64_t N = 5000;
@@ -542,21 +487,13 @@ TEST_F(UsrCompileTest, BatchedGateParallelFirstDecisionExactness) {
 
     sym::Bindings BInt = B;
     auto Ref = evalUSREmpty(R, BInt);
-    EXPECT_EQ(CU->evalEmpty(B, 1u << 22, nullptr, /*BlockGates=*/true), Ref)
+    EXPECT_EQ(CU->evalEmpty(B), Ref)
         << "case " << Case << " hit " << HitAt << " fail " << FailAt;
-    EXPECT_EQ(CU->evalEmpty(B, 1u << 22, nullptr, /*BlockGates=*/false), Ref)
-        << "case " << Case;
-    CompiledUSR::PooledFrame PFB, PFS;
-    EXPECT_EQ(CU->evalEmptyParallel(PFB, B, Pool, 1u << 22, nullptr,
-                                    /*MinParallelIters=*/16, nullptr,
-                                    /*BlockGates=*/true),
+    CompiledUSR::PooledFrame PF;
+    EXPECT_EQ(CU->evalEmptyParallel(PF, B, Pool, 1u << 22, nullptr,
+                                    /*MinParallelIters=*/16),
               Ref)
         << "case " << Case << " hit " << HitAt << " fail " << FailAt;
-    EXPECT_EQ(CU->evalEmptyParallel(PFS, B, Pool, 1u << 22, nullptr,
-                                    /*MinParallelIters=*/16, nullptr,
-                                    /*BlockGates=*/false),
-              Ref)
-        << "case " << Case;
   }
 }
 
@@ -581,8 +518,8 @@ TEST_F(UsrCompileTest, StatsReportRunsAndAvoidedPoints) {
 TEST_F(UsrCompileTest, FramelessConcurrentEmptinessSerializesOnFallback) {
   // Regression for a guard gap surfaced by the thread-safety
   // annotations: frameless USRCompileCache::emptiness() callers all
-  // share the cache entry's fallback evaluation frame (mutable bind
-  // stamps and recurrence prefix caches). They used to touch it with no
+  // share the cache entry's fallback evaluation frame (mutable bound
+  // slots and recurrence prefix caches). They used to touch it with no
   // synchronization — a data race under concurrency, with the prefix
   // cache of one dataset poisoning another's evaluation. The entry now
   // carries a fallback mutex held for the whole frameless evaluation,

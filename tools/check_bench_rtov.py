@@ -4,11 +4,10 @@
 bench_rtov_overhead writes BENCH_rtov.json (per-section median ns/exec
 plus speedup ratios, and the per-benchmark RTov table) so the perf
 trajectory is trackable across PRs. This script fails the job if the
-record is malformed, if the block-vectorized tier regressed to slower
-than the scalar bytecode on the N=1e6 LoopAll section or on the USR
-gated-recurrence sweep, if the governor stopped routing through the
-block tier at all, if a benchmark's steady-state RTov exceeds its
-ceiling, or if the RTov table saw no runtime-test memo hit. Stdlib only.
+record is malformed, if the compiled bytecode is no faster than the
+tree-walking interpreter on the N=1e6 LoopAll section, if a benchmark's
+steady-state RTov exceeds its ceiling, or if the RTov table saw no
+runtime-test memo hit. Stdlib only.
 """
 
 import json
@@ -55,24 +54,15 @@ def main() -> None:
         fail(f"cannot read {path}: {e}")
 
     for sec in ("loopall_n1e6", "session_reuse_n256", "usr_oind_n2048",
-                "usr_gate_sweep_n1e6", "rtov_steady_pct", "rtov_first_pct",
-                "rtov_test_memo"):
+                "rtov_steady_pct", "rtov_first_pct", "rtov_test_memo"):
         if sec not in doc:
             fail(f"missing section {sec!r}")
 
     la = doc["loopall_n1e6"]
-    if la["block_evals"] < 1:
-        fail("block tier never ran on the LoopAll section")
-    if la["block_ns_per_exec"] >= la["scalar_ns_per_exec"]:
-        fail("block tier slower than scalar bytecode at N=1e6: "
-             f"{la['block_ns_per_exec']:.0f} vs "
-             f"{la['scalar_ns_per_exec']:.0f} ns/exec")
-
-    gs = doc["usr_gate_sweep_n1e6"]
-    if gs["gate_block_evals"] < 1:
-        fail("USR gate batching never ran")
-    if gs["block_ns_per_exec"] >= gs["scalar_ns_per_exec"]:
-        fail("batched gate sweep slower than the scalar sweep")
+    if la["scalar_ns_per_exec"] >= la["interp_ns_per_exec"]:
+        fail("compiled bytecode no faster than the interpreter at N=1e6: "
+             f"{la['scalar_ns_per_exec']:.0f} vs "
+             f"{la['interp_ns_per_exec']:.0f} ns/exec")
 
     steady = doc["rtov_steady_pct"]
     for bench, ceiling in sorted(RTOV_STEADY_CEILING_PCT.items()):
@@ -84,10 +74,9 @@ def main() -> None:
     if doc["rtov_test_memo"]["hits"] < 1:
         fail("the RTov table saw no runtime-test memo hit")
 
-    print("block tier vs scalar: "
-          f"{la['speedup_block_vs_scalar']:.2f}x (LoopAll N=1e6), "
-          f"{gs['speedup_block_vs_scalar']:.2f}x (USR gate sweep); "
-          f"steady RTov within every ceiling, "
+    print("compiled vs interpreter: "
+          f"{la['interp_ns_per_exec'] / la['scalar_ns_per_exec']:.2f}x "
+          "(LoopAll N=1e6); steady RTov within every ceiling, "
           f"{doc['rtov_test_memo']['hits']:.0f} test-memo hits")
 
 
