@@ -114,6 +114,7 @@ void microBench() {
   // bit for bit, serial and chunked-parallel.
   {
     ThreadPool Pool(4);
+    pdag::CompiledPred::PooledFrame PF;
     uint64_t Seed = 0x5eedULL;
     auto Next = [&Seed] {
       Seed = Seed * 6364136223846793005ULL + 1442695040888963407ULL;
@@ -128,7 +129,7 @@ void microBench() {
       sym::Bindings B2 = B;
       B2.setArray(IB, A2);
       auto Ref = pdag::tryEvalPred(Stage, B2);
-      if (CP->eval(B2) != Ref || CP->evalParallel(B2, Pool) != Ref)
+      if (CP->eval(B2) != Ref || CP->evalParallelPooled(PF, B2, Pool) != Ref)
         std::abort(); // First-failure parity violated.
     }
   }
@@ -162,9 +163,10 @@ void microBench() {
   auto &J = GJson["loopall_n1e6"];
   for (unsigned T : {2u, 4u}) {
     ThreadPool Pool(T);
+    pdag::CompiledPred::PooledFrame PF;
     double Par = medianOf(Reps, [&] {
       double T0 = nowSeconds();
-      bool R = CP->evalParallel(B, Pool).value_or(false);
+      bool R = CP->evalParallelPooled(PF, B, Pool).value_or(false);
       if (!R)
         std::abort();
       return nowSeconds() - T0;

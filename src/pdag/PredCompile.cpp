@@ -689,8 +689,7 @@ uint8_t CompiledPred::run(uint32_t IpBegin, uint32_t IpEnd, Frame &F) const {
 
 /// Reusable per-thread frame: bindFrame() resizes with assign()/resize(),
 /// so after warm-up repeated evaluations allocate nothing. Safe because
-/// eval()/evalParallel() never re-enter on the same thread (the parallel
-/// workers copy the bound frame into their own locals).
+/// eval()/evalWithSlots() never re-enter on the same thread.
 CompiledPred::Frame &CompiledPred::scratchFrame() {
   thread_local Frame F;
   return F;
@@ -763,13 +762,7 @@ CompiledPred::evalParallelPooled(PooledFrame &PF, const sym::Bindings &B,
                                  const support::CancelToken *Cancel) const {
   if (RootLoop < 0 || Pool.numThreads() <= 1)
     return evalPooled(PF, B, Stats);
-  return evalParallelImpl(bindPooled(PF, B), &PF, Pool, Stats,
-                          MinParallelIters, Cancel);
-}
-
-std::optional<bool> CompiledPred::evalParallelImpl(
-    Frame &F, PooledFrame *PF, ThreadPool &Pool, EvalStats *Stats,
-    int64_t MinParallelIters, const support::CancelToken *Cancel) const {
+  Frame &F = bindPooled(PF, B);
   const CompiledLoop &L = Loops[static_cast<size_t>(RootLoop)];
   auto Lo = evalExpr(L.LoExprBegin, L.LoExprEnd, F);
   auto Hi = evalExpr(L.HiExprBegin, L.HiExprEnd, F);
@@ -793,14 +786,12 @@ std::optional<bool> CompiledPred::evalParallelImpl(
   if (*Hi - *Lo + 1 < MinParallelIters * static_cast<int64_t>(NT))
     return runMainOnFrame(F, Stats);
 
-  // Pooled worker frames are copy-assigned from the freshly bound main
-  // frame, so their buffers keep capacity across evaluations.
-  if (PF) {
-    if (PF->Workers.size() < NT)
-      PF->Workers.resize(NT);
-    for (unsigned W = 0; W < NT; ++W)
-      PF->Workers[W] = F;
-  }
+  // Worker frames are copy-assigned from the freshly bound main frame, so
+  // their buffers keep capacity across evaluations.
+  if (PF.Workers.size() < NT)
+    PF.Workers.resize(NT);
+  for (unsigned W = 0; W < NT; ++W)
+    PF.Workers[W] = F;
 
   // Exact first-failure frontier: a worker may stop as soon as its current
   // iteration lies beyond the earliest known non-true iteration; every
@@ -816,10 +807,7 @@ std::optional<bool> CompiledPred::evalParallelImpl(
   Pool.parallelAllOf(
       *Lo, *Hi + 1,
       [&](int64_t BLo, int64_t BHi, unsigned W, std::atomic<bool> &) -> bool {
-        Frame ScratchW; // Private slots + memo per worker (scratch mode).
-        if (!PF)
-          ScratchW = F;
-        Frame &FW = PF ? PF->Workers[W] : ScratchW;
+        Frame &FW = PF.Workers[W]; // Private slots + memo per worker.
         FW.Stats = EvalStats();
         bool Ok = true;
         for (int64_t I = BLo; I < BHi; ++I) {
@@ -869,16 +857,4 @@ std::optional<bool> CompiledPred::evalParallelImpl(
   if (R == TriUnknown)
     return std::nullopt;
   return R == TriTrue;
-}
-
-std::optional<bool>
-CompiledPred::evalParallel(const sym::Bindings &B, ThreadPool &Pool,
-                           EvalStats *Stats, int64_t MinParallelIters,
-                           const support::CancelToken *Cancel) const {
-  if (RootLoop < 0 || Pool.numThreads() <= 1)
-    return eval(B, Stats);
-  Frame &F = scratchFrame();
-  F.Stats = EvalStats();
-  bindFrame(F, B);
-  return evalParallelImpl(F, nullptr, Pool, Stats, MinParallelIters, Cancel);
 }

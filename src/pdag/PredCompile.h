@@ -114,9 +114,9 @@ public:
   private:
     friend class CompiledPred;
     std::unique_ptr<Frame> Main;
-    /// Per-worker scratch copies for evalParallelPooled (copy-assigned
-    /// from the bound main frame on every call, so steady-state reuse
-    /// keeps their buffer capacity).
+    /// Per-worker copies for evalParallelPooled (copy-assigned from the
+    /// bound main frame on every call, so steady-state reuse keeps their
+    /// buffer capacity).
     std::vector<Frame> Workers;
   };
 
@@ -136,27 +136,20 @@ public:
   std::optional<bool> eval(const sym::Bindings &B,
                            EvalStats *Stats = nullptr) const;
 
-  /// Evaluates with the root LoopAll range chunked across \p Pool using
-  /// an atomic first-failure frontier; exact same result as eval().
-  /// Fan-out only pays off when every worker gets a chunk that dwarfs the
-  /// dispatch cost, so ranges shorter than MinParallelIters * numThreads
-  /// iterations (and non-LoopAll roots) fall back to the serial path.
-  /// A fired \p Cancel token makes the evaluation bail at the next chunk
-  /// boundary and return nullopt — no answer, as opposed to "false".
-  std::optional<bool> evalParallel(const sym::Bindings &B, ThreadPool &Pool,
-                                   EvalStats *Stats = nullptr,
-                                   int64_t MinParallelIters = 4096,
-                                   const support::CancelToken *Cancel =
-                                       nullptr) const;
-
   /// eval() against a caller-owned pooled frame (bound from \p B into the
   /// frame's reused buffers). Exact same result contract as eval().
   std::optional<bool> evalPooled(PooledFrame &PF, const sym::Bindings &B,
                                  EvalStats *Stats = nullptr) const;
 
-  /// evalParallel() against a caller-owned pooled frame: the main frame
-  /// and the per-worker copies keep their buffers across evaluations.
-  /// Exact same result as eval().
+  /// Evaluates against a caller-owned pooled frame with the root LoopAll
+  /// range chunked across \p Pool using an atomic first-failure frontier;
+  /// exact same result as eval(). The main frame and the per-worker
+  /// copies keep their buffers across evaluations. Fan-out only pays off
+  /// when every worker gets a chunk that dwarfs the dispatch cost, so
+  /// ranges shorter than MinParallelIters * numThreads iterations (and
+  /// non-LoopAll roots) run serially on the main frame.
+  /// A fired \p Cancel token makes the evaluation bail at the next chunk
+  /// boundary and return nullopt — no answer, as opposed to "false".
   std::optional<bool>
   evalParallelPooled(PooledFrame &PF, const sym::Bindings &B, ThreadPool &Pool,
                      EvalStats *Stats = nullptr,
@@ -189,7 +182,8 @@ public:
   int loopDepth() const { return Source->loopDepth(); }
   size_t codeSize() const { return PCode.size() + XCode.size(); }
   size_t numMemoSlots() const { return NumMemoSlots; }
-  /// True when evalParallel can actually fan out (root is a LoopAll).
+  /// True when evalParallelPooled can actually fan out (root is a
+  /// LoopAll).
   bool hasParallelRoot() const { return RootLoop >= 0; }
 
   /// Governor ordering key: loop depth dominates, bytecode length breaks
@@ -215,14 +209,6 @@ private:
   /// Runs the root code on an already-bound frame and folds F.Stats into
   /// \p Stats (the shared tail of eval/evalPooled).
   std::optional<bool> runMainOnFrame(Frame &F, EvalStats *Stats) const;
-  /// The one copy of the chunked-parallel protocol (exact first-failure
-  /// frontier) shared by evalParallel and evalParallelPooled. \p F must
-  /// already be bound; workers copy it per call (scratch mode, \p PF
-  /// null) or live pooled inside \p PF.
-  std::optional<bool>
-  evalParallelImpl(Frame &F, PooledFrame *PF, ThreadPool &Pool,
-                   EvalStats *Stats, int64_t MinParallelIters,
-                   const support::CancelToken *Cancel) const;
   std::optional<int64_t> evalExpr(uint32_t Begin, uint32_t End,
                                   Frame &F) const;
 

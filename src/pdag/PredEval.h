@@ -44,7 +44,7 @@ struct EvalStats {
   /// a caller that had the compiled path available (governor fallback).
   uint64_t InterpEvals = 0;
   /// Symbol-slot binds performed by the *pooled* entry points (one per
-  /// evaluation; the scratch-frame eval/evalParallel paths do not count
+  /// evaluation; the scratch-frame eval/evalWithSlots paths do not count
   /// theirs).
   uint64_t FrameBinds = 0;
 

@@ -29,23 +29,16 @@ const pdag::CompiledPred *PredCompileCache::get(const pdag::Pred *P) {
   return Cache.emplace(P, std::move(CP)).first->second.get();
 }
 
-USRCompileCache::Entry &USRCompileCache::entryForLocked(const usr::USR *S) {
+const usr::CompiledUSR *USRCompileCache::get(const usr::USR *S) {
+  // Compilation runs under the lock, as in PredCompileCache::get.
+  support::MutexLock L(M);
   auto It = Cache.find(S);
   if (It != Cache.end())
-    return It->second;
+    return It->second.get();
   support::faultAt("rt.compile.usr");
-  // Compile before inserting so a throwing compilation leaves no
-  // half-made entry; Entry itself is pinned in place (it owns a mutex).
   auto Code = usr::CompiledUSR::compile(
       S, Sym, [this](const pdag::Pred *P) { return Preds.get(P); });
-  Entry &E = Cache[S];
-  E.Code = std::move(Code);
-  return E;
-}
-
-const usr::CompiledUSR *USRCompileCache::get(const usr::USR *S) {
-  support::MutexLock L(M);
-  return entryForLocked(S).Code.get();
+  return Cache.emplace(S, std::move(Code)).first->second.get();
 }
 
 std::optional<bool> USRCompileCache::emptiness(const usr::USR *S,
@@ -55,15 +48,7 @@ std::optional<bool> USRCompileCache::emptiness(const usr::USR *S,
                                                USRFramePool *Frames,
                                                const support::CancelToken
                                                    *Cancel) {
-  Entry *E;
-  {
-    // Probe/insert under the cache mutex; everything below (the
-    // evaluation) runs outside it. Entry references are stable
-    // (node-based map).
-    support::MutexLock L(M);
-    E = &entryForLocked(S);
-  }
-  const usr::CompiledUSR *Code = E->Code.get();
+  const usr::CompiledUSR *Code = get(S);
   if (!Code) {
     // Lowering tripped a resource guard (CompiledUSR::compile returned
     // null — nesting or bytecode-size cap): demote this exact test to the
@@ -78,21 +63,13 @@ std::optional<bool> USRCompileCache::emptiness(const usr::USR *S,
   }
   if (support::stopRequested(Cancel))
     return std::nullopt; // No answer for an aborted evaluation.
-  auto Eval =
-      [&](usr::CompiledUSR::PooledFrame &F) -> std::optional<bool> {
-    if (Pool && Pool->numThreads() > 1 && Code->hasParallelRoot())
-      return Code->evalEmptyParallel(F, B, *Pool, 1u << 22, Stats, 2048,
-                                     Cancel);
-    return Code->evalEmptyPooled(F, B, 1u << 22, Stats);
-  };
-  if (Frames)
-    return Eval(Frames->frameFor(Code));
-  // Frameless callers share the entry's fallback frame (mutable bound
-  // slots and prefix caches): hold its mutex across the whole
-  // evaluation so two concurrent frameless callers serialize instead of
-  // racing on frame state. Pool-carrying callers never touch this path.
-  support::MutexLock FL(E->FallbackM);
-  return Eval(E->Frame);
+  if (!Frames)
+    return Code->evalEmpty(B, 1u << 22, Stats);
+  usr::CompiledUSR::PooledFrame &F = Frames->frameFor(Code);
+  if (Pool) // Serial unless the root recurrence can fan out.
+    return Code->evalEmptyParallel(F, B, *Pool, 1u << 22, Stats, 2048,
+                                   Cancel);
+  return Code->evalEmptyPooled(F, B, 1u << 22, Stats);
 }
 
 CompiledCascade CompiledCascade::build(const analysis::TestCascade &C,

@@ -35,10 +35,9 @@
 ///    time. Pooled frames carry mutable bound slots, invariant-memo
 ///    tables and recurrence prefix caches, so two concurrent executions
 ///    must check out two distinct contexts (session::Session pools and
-///    leases them). USRCompileCache's internal per-entry fallback frame is
-///    only used when the caller does not supply a USRFramePool (standalone
-///    executors); frameless callers serialize on the entry's fallback
-///    mutex, so misuse degrades to sequential evaluation, never a race.
+///    leases them). A USRCompileCache::emptiness() call without a
+///    USRFramePool evaluates serially on the calling thread's scratch
+///    frame, so concurrent frameless callers never share frame state.
 ///
 /// These contracts are machine-checked: the locks are support/Sync.h
 /// capabilities, the fields carry HALO_GUARDED_BY, and CI's thread-safety
@@ -172,8 +171,7 @@ struct ExecContext {
 /// appearing both as a cascade stage and inside a USR gate is lowered
 /// exactly once session-wide. Internally synchronized like
 /// PredCompileCache; mutable evaluation frames come from the caller's
-/// USRFramePool (concurrent executions) or, absent one, from a per-entry
-/// fallback frame that is only sound single-threaded.
+/// USRFramePool or, absent one, from the calling thread's scratch frame.
 class USRCompileCache {
 public:
   USRCompileCache(const sym::Context &Sym, PredCompileCache &Preds)
@@ -183,13 +181,10 @@ public:
   /// Safe to call concurrently.
   const usr::CompiledUSR *get(const usr::USR *S) HALO_EXCLUDES(M);
 
-  /// Compiles (once) and evaluates emptiness; a root recurrence is
-  /// chunked across \p Pool when one is given. The pooled evaluation
-  /// frame comes from \p Frames when provided — required for concurrent
-  /// callers to stay parallel — and from the cache entry's fallback
-  /// frame otherwise. Frameless calls serialize on the entry's fallback
-  /// mutex for the whole evaluation (shared mutable frame state), so
-  /// concurrent frameless callers are correct, merely sequential. A
+  /// Compiles (once) and evaluates emptiness. With \p Frames the
+  /// evaluation runs on the pooled frame for this USR, a root recurrence
+  /// chunked across \p Pool when one is given; without, it runs serially
+  /// on the calling thread's scratch frame (CompiledUSR::evalEmpty). A
   /// fired \p Cancel token aborts the evaluation and yields nullopt (no
   /// answer — never a cacheable one). The cache mutex M covers only the
   /// probe/insert; evaluation runs outside it.
@@ -206,24 +201,12 @@ public:
   }
 
 private:
-  struct Entry {
-    /// Set once at insertion (under the cache mutex) and immutable
-    /// afterwards; evaluated lock-free from any thread.
-    std::unique_ptr<usr::CompiledUSR> Code;
-    /// Serializes frameless callers over the shared fallback frame.
-    support::Mutex FallbackM;
-    /// Fallback frame for frameless callers (standalone executors):
-    /// mutable bound slots and prefix caches, shared cache state — held
-    /// under FallbackM for the whole evaluation.
-    usr::CompiledUSR::PooledFrame Frame HALO_GUARDED_BY(FallbackM);
-  };
-  /// The returned reference is stable (node-based map).
-  Entry &entryForLocked(const usr::USR *S) HALO_REQUIRES(M);
-
   const sym::Context &Sym;
   PredCompileCache &Preds;
   mutable support::Mutex M;
-  std::unordered_map<const usr::USR *, Entry> Cache HALO_GUARDED_BY(M);
+  /// Entries are immutable once published, as in PredCompileCache.
+  std::unordered_map<const usr::USR *, std::unique_ptr<usr::CompiledUSR>>
+      Cache HALO_GUARDED_BY(M);
 };
 
 } // namespace rt

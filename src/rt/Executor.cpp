@@ -38,30 +38,6 @@ double nowSeconds() {
 } // namespace
 
 //===----------------------------------------------------------------------===//
-// Interpreter substrate delegation
-//===----------------------------------------------------------------------===//
-
-void Executor::runStmts(const std::vector<const Stmt *> &Stmts, Memory &M,
-                        sym::Bindings &B) {
-  interpStmts(Stmts, M, B);
-}
-
-void Executor::runSequential(const DoLoop &Loop, Memory &M,
-                             sym::Bindings &B) {
-  interpSequential(Loop, M, B);
-}
-
-void Executor::runCivSlice(const DoLoop &Loop, const summary::CivPlan &Plan,
-                           Memory &M, sym::Bindings &B) {
-  interpCivSlice(Loop, Plan, M, B);
-}
-
-bool Executor::computeBounds(const usr::USR *S, sym::Bindings &B,
-                             ThreadPool &Pool, int64_t &Lo, int64_t &Hi) {
-  return interpBounds(S, B, Pool, Lo, Hi);
-}
-
-//===----------------------------------------------------------------------===//
 // HoistCache
 //===----------------------------------------------------------------------===//
 
@@ -144,10 +120,10 @@ std::optional<bool> HoistCache::emptiness(const usr::USR *S,
 // Planned execution (the governor)
 //===----------------------------------------------------------------------===//
 
-int Executor::runCascade(const TestCascade &C, const CompiledCascade *Pre,
+int Executor::runCascade(const TestCascade &C, const CompiledCascade &Pre,
                          sym::Bindings &B, ThreadPool &Pool,
-                         ExecStats &Stats, FramePool *Frames,
-                         const support::CancelToken *Cancel) {
+                         ExecStats &Stats, FramePool &Frames,
+                         const support::CancelToken *Cancel) const {
   if (C.StaticallyTrue)
     return -1;
 
@@ -168,15 +144,9 @@ int Executor::runCascade(const TestCascade &C, const CompiledCascade *Pre,
     return -2;
   }
 
-  // Compiled path. With a plan-time cascade (session executions) the
-  // stage vector is already built and cost-ordered; the standalone path
-  // lowers through the executor's own cache and sorts per call.
-  CompiledCascade Local;
-  if (!Pre) {
-    Local = CompiledCascade::build(C, OwnCompile);
-    Pre = &Local;
-  }
-  for (const CompiledCascade::Stage &St : Pre->Stages) {
+  // Compiled path: the stage vector was built and cost-ordered at plan
+  // time.
+  for (const CompiledCascade::Stage &St : Pre.Stages) {
     // Stage-boundary cancellation poll: the serving path runs inline
     // (1-thread sessions), so this — not the parallel chunk boundary —
     // is where a deadline fires between pieces of predicate work.
@@ -196,20 +166,13 @@ int Executor::runCascade(const TestCascade &C, const CompiledCascade *Pre,
       continue;
     }
     // O(1) stages run inline; O(N)+ stages fan their root LoopAll range
-    // out across the pool with the exact early-exit and-reduction.
-    // Pooled frames (when the session provides a pool) skip per-execution
-    // frame allocation.
-    std::optional<bool> V;
-    if (Frames) {
-      auto &PF = Frames->frameFor(St.Code);
-      V = St.Code->loopDepth() >= 1
-              ? St.Code->evalParallelPooled(PF, B, Pool, &ES, 4096, Cancel)
-              : St.Code->evalPooled(PF, B, &ES);
-    } else {
-      V = St.Code->loopDepth() >= 1
-              ? St.Code->evalParallel(B, Pool, &ES, 4096, Cancel)
-              : St.Code->eval(B, &ES);
-    }
+    // out across the pool with the exact early-exit and-reduction. Both
+    // re-bind a pooled frame whose buffers keep their capacity.
+    auto &PF = Frames.frameFor(St.Code);
+    std::optional<bool> V =
+        St.Code->loopDepth() >= 1
+            ? St.Code->evalParallelPooled(PF, B, Pool, &ES, 4096, Cancel)
+            : St.Code->evalPooled(PF, B, &ES);
     Stats.PredicateLeafEvals += ES.LeafEvals;
     Stats.PredMemoHits += ES.MemoHits;
     Stats.FrameBinds += ES.FrameBinds;
@@ -298,14 +261,11 @@ void TestMemo::publish(std::shared_ptr<const Entry> E) {
 // Planned execution (the governor)
 //===----------------------------------------------------------------------===//
 
-bool Executor::runTests(const LoopPlan &Plan, Memory &M, sym::Bindings &B,
-                        ThreadPool &Pool, HoistCache *Hoist,
-                        const PlanCascades *Pre, ExecContext *Ctx,
-                        USRCompileCache *UsrCompile, ExecStats &Stats,
-                        TestVerdict &Verdict) {
-  FramePool *Frames = Ctx ? &Ctx->Frames : nullptr;
-  USRFramePool *UsrFrames = Ctx ? &Ctx->UsrFrames : nullptr;
-  const support::CancelToken *Cancel = Ctx ? Ctx->Cancel : nullptr;
+bool Executor::runTests(const LoopPlan &Plan, const PlanCascades &Pre,
+                        Memory &M, sym::Bindings &B, ThreadPool &Pool,
+                        ExecContext &Ctx, HoistCache &Hoist, ExecStats &Stats,
+                        TestVerdict &Verdict) const {
+  const support::CancelToken *Cancel = Ctx.Cancel;
   const DoLoop &Loop = *Plan.Loop;
 
   // CIV-COMP.
@@ -326,10 +286,9 @@ bool Executor::runTests(const LoopPlan &Plan, Memory &M, sym::Bindings &B,
       AbortRun = true;
       break;
     }
-    const PlanCascades::ArrayCascades *AC = Pre ? &Pre->Arrays[PI] : nullptr;
-    auto Casc = [&](const TestCascade &C,
-                    const CompiledCascade *CC) -> int {
-      int D = runCascade(C, CC, B, Pool, Stats, Frames, Cancel);
+    const PlanCascades::ArrayCascades &AC = Pre.Arrays[PI];
+    auto Casc = [&](const TestCascade &C, const CompiledCascade &CC) -> int {
+      int D = runCascade(C, CC, B, Pool, Stats, Ctx.Frames, Cancel);
       if (D == -3)
         AbortRun = true;
       return D;
@@ -338,33 +297,25 @@ bool Executor::runTests(const LoopPlan &Plan, Memory &M, sym::Bindings &B,
     // Exact USR evaluation is deployed only when its cost amortizes
     // across repeated executions (Sec. 5: "If we can amortize the cost of
     // the exact test ... we use direct evaluation of IND-USR, otherwise
-    // we use TLS"). Evaluations (HoistCache misses included) route
-    // through the compiled interval-run engine unless the interpreter
-    // path was selected for A/B measurement; each evaluation is counted
-    // once, here, on whichever path it took.
-    USRCompileCache *UC =
-        UseCompiledUSRs ? (UsrCompile ? UsrCompile : &OwnUsrCompile)
-                        : nullptr;
+    // we use TLS"). HoistCache misses evaluate through the compiled
+    // interval-run engine unless the interpreter path was selected for
+    // A/B measurement; each evaluation is counted once, here, on
+    // whichever path it took.
     auto ExactEmpty = [&](const usr::USR *S) -> bool {
       if (!S || !Plan.Hoistable)
         return false;
       double TE = nowSeconds();
-      std::optional<bool> V;
       usr::USREvalStats US;
       bool Hit = false;
-      if (Hoist)
-        V = Hoist->emptiness(S, B, Sym, Hit, UC, &Pool, &US, UsrFrames,
-                             Cancel);
-      else if (UC)
-        V = UC->emptiness(S, B, &Pool, &US, UsrFrames, Cancel);
-      else
-        V = usr::evalUSREmpty(S, B, 1u << 22, &US);
+      std::optional<bool> V = Hoist.emptiness(
+          S, B, Sym, Hit, UsrCompile, &Pool, &US, &Ctx.UsrFrames, Cancel);
       // A demoted evaluation ran on the interpreter even though the
       // compiled cache was consulted — count it in the interpreted column
       // so the compiled/interpreted split stays truthful.
       bool Demoted = US.GuardDemotions > 0;
       if (!Hit)
-        ++(UC && !Demoted ? Stats.CompiledUSREvals : Stats.InterpUSREvals);
+        ++(UsrCompile && !Demoted ? Stats.CompiledUSREvals
+                                  : Stats.InterpUSREvals);
       Stats.GuardDemotions += US.GuardDemotions;
       Stats.USRRunsProduced += US.RunsProduced;
       Stats.USRPointsAvoided += US.PointsAvoided;
@@ -379,7 +330,7 @@ bool Executor::runTests(const LoopPlan &Plan, Memory &M, sym::Bindings &B,
     };
 
     // Flow independence.
-    int FD = Casc(AP.Flow, AC ? &AC->Flow : nullptr);
+    int FD = Casc(AP.Flow, AC.Flow);
     if (AbortRun)
       break;
     if (FD == -2 && !ExactEmpty(AP.FlowUSR)) {
@@ -389,16 +340,16 @@ bool Executor::runTests(const LoopPlan &Plan, Memory &M, sym::Bindings &B,
     Verdict.CascadeDepthUsed = std::max(Verdict.CascadeDepthUsed, FD);
 
     // Output independence, else privatization.
-    int OD = Casc(AP.Output, AC ? &AC->Output : nullptr);
+    int OD = Casc(AP.Output, AC.Output);
     if (OD == -2) {
-      int PD = Casc(AP.Priv, AC ? &AC->Priv : nullptr);
+      int PD = Casc(AP.Priv, AC.Priv);
       if (PD == -2 && !ExactEmpty(AP.OutputUSR)) {
         Verdict.AllOk = false;
         break;
       }
       if (PD != -2) {
         D.Privatize = true;
-        int SD = Casc(AP.Slv, AC ? &AC->Slv : nullptr);
+        int SD = Casc(AP.Slv, AC.Slv);
         if (SD != -2)
           D.UseSLV = true;
         else
@@ -414,13 +365,13 @@ bool Executor::runTests(const LoopPlan &Plan, Memory &M, sym::Bindings &B,
     // Reductions.
     if (AP.HasReduction) {
       if (AP.ExtRedUSR) { // EXT-RRED: direct writes coexist.
-        int ED = Casc(AP.ExtRedFlow, AC ? &AC->ExtRedFlow : nullptr);
+        int ED = Casc(AP.ExtRedFlow, AC.ExtRedFlow);
         if (ED == -2 && !ExactEmpty(AP.ExtRedUSR)) {
           Verdict.AllOk = false;
           break;
         }
       }
-      int RD = Casc(AP.RRed, AC ? &AC->RRed : nullptr);
+      int RD = Casc(AP.RRed, AC.RRed);
       if (AbortRun)
         break;
       D.ReductionPrivate = (RD == -2); // Injective => direct updates.
@@ -438,15 +389,14 @@ bool Executor::runTests(const LoopPlan &Plan, Memory &M, sym::Bindings &B,
   return !AbortRun;
 }
 
-ExecStats Executor::runPlanned(const LoopPlan &Plan, Memory &M,
-                               sym::Bindings &B, ThreadPool &Pool,
-                               HoistCache *Hoist, const PlanCascades *Pre,
-                               ExecContext *Ctx, USRCompileCache *UsrCompile,
-                               TestMemo *Memo) {
-  assert((!Pre || Pre->Arrays.size() == Plan.Arrays.size()) &&
+ExecStats Executor::runPlanned(const LoopPlan &Plan, const PlanCascades &Pre,
+                               Memory &M, sym::Bindings &B, ThreadPool &Pool,
+                               ExecContext &Ctx, HoistCache &Hoist,
+                               TestMemo &Memo) const {
+  assert(Pre.Arrays.size() == Plan.Arrays.size() &&
          "plan cascades must be built from this plan");
   support::faultAt("rt.exec");
-  const support::CancelToken *Cancel = Ctx ? Ctx->Cancel : nullptr;
+  const support::CancelToken *Cancel = Ctx.Cancel;
   ExecStats Stats;
   double T0 = nowSeconds();
   const DoLoop &Loop = *Plan.Loop;
@@ -480,13 +430,13 @@ ExecStats Executor::runPlanned(const LoopPlan &Plan, Memory &M,
   // the CIV arrays) a previous execution computed from the same bindings;
   // a miss runs every test and publishes its verdict. The lookup, and on
   // a miss the key capture and publish, are charged to PredicateSeconds.
-  if (Plan.Class == analysis::LoopClass::StaticPar)
-    Memo = nullptr;
+  TestMemo *Memoized =
+      Plan.Class == analysis::LoopClass::StaticPar ? nullptr : &Memo;
   double TL = nowSeconds();
   std::shared_ptr<const TestMemo::Entry> Hit =
-      Memo ? Memo->lookup(B, Plan.Civ) : nullptr;
+      Memoized ? Memoized->lookup(B, Plan.Civ) : nullptr;
   std::shared_ptr<TestMemo::Entry> Fresh =
-      Memo && !Hit ? TestMemo::capture(B, Plan.Civ) : nullptr;
+      Memoized && !Hit ? TestMemo::capture(B, Plan.Civ) : nullptr;
   double MemoSeconds = nowSeconds() - TL;
   TestVerdict Local;
   const TestVerdict *V = &Local;
@@ -497,9 +447,8 @@ ExecStats Executor::runPlanned(const LoopPlan &Plan, Memory &M,
       B.setArray(KV.first, KV.second);
     V = &Hit->Verdict;
   } else {
-    Stats.TestMemoMisses += Memo != nullptr;
-    Completed = runTests(Plan, M, B, Pool, Hoist, Pre, Ctx, UsrCompile,
-                         Stats, Local);
+    Stats.TestMemoMisses += Memoized != nullptr;
+    Completed = runTests(Plan, Pre, M, B, Pool, Ctx, Hoist, Stats, Local);
     if (Fresh && Completed && !support::stopRequested(Cancel)) {
       TL = nowSeconds();
       for (const summary::CivDesc &D : Plan.Civ.Civs)
@@ -508,7 +457,7 @@ ExecStats Executor::runPlanned(const LoopPlan &Plan, Memory &M,
         Fresh->CivArrays.emplace_back(J.JoinArr, B.sharedArray(J.JoinArr));
       Fresh->Verdict = std::move(Local);
       V = &Fresh->Verdict; // Fresh keeps the published entry alive.
-      Memo->publish(Fresh);
+      Memoized->publish(Fresh);
       MemoSeconds += nowSeconds() - TL;
     }
   }
@@ -645,7 +594,7 @@ ExecStats Executor::runPlanned(const LoopPlan &Plan, Memory &M,
 
 bool Executor::runSpeculative(const LoopPlan &Plan, Memory &M,
                               sym::Bindings &B, ThreadPool &Pool,
-                              ExecStats &Stats) {
+                              ExecStats &Stats) const {
   Stats.UsedTLS = true;
   const DoLoop &Loop = *Plan.Loop;
   int64_t Lo = sym::eval(Loop.getLo(), B);

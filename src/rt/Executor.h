@@ -16,11 +16,11 @@
 ///
 /// Plain statement interpretation lives in the substrate layer
 /// (rt/Interp.h); plan-time cascade compilation and frame pooling in
-/// rt/CompiledCascade.h. A standalone Executor compiles cascades lazily
-/// through its own cache; the session layer (session/Session.h) instead
-/// hands in pre-built PlanCascades and a leased rt::ExecContext so
-/// repeated executions of the same plan do no per-execution setup at all
-/// — and so concurrent executions never share mutable frames.
+/// rt/CompiledCascade.h. The session layer (session/Session.h) is the
+/// governor's only caller: it hands in pre-built PlanCascades and a
+/// leased rt::ExecContext so repeated executions of the same plan do no
+/// per-execution setup at all — and so concurrent executions never share
+/// mutable frames.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -76,8 +76,7 @@ struct ExecStats {
   /// symmetric and cannot double-count.
   uint64_t CompiledPredEvals = 0;
   uint64_t InterpPredEvals = 0;
-  /// Pooled-frame symbol binds (session executions only; one per pooled
-  /// evaluation).
+  /// Pooled-frame symbol binds (one per compiled stage evaluation).
   uint64_t FrameBinds = 0;
   /// Never written; remains only for perfbench's stats export.
   uint64_t FrameRebindsSkipped = 0;
@@ -105,8 +104,8 @@ struct ExecStats {
   uint64_t GuardDemotions = 0;
   /// Planned executions whose runtime-test verdict came from the prepared
   /// loop's TestMemo (every test skipped) vs. ones that ran the tests.
-  /// Executions that bypass the memo (static plans, standalone
-  /// executors) count as neither.
+  /// Executions that bypass the memo (StaticPar plans, and plans that run
+  /// no tests) count as neither.
   uint64_t TestMemoHits = 0;
   uint64_t TestMemoMisses = 0;
 
@@ -298,32 +297,31 @@ private:
   std::shared_ptr<const Entry> Slot HALO_GUARDED_BY(M);
 };
 
-/// Executes analyzed loops under their plans (and plain programs through
-/// the interpreter substrate).
+/// Executes analyzed loops under their plans. session::Session owns the
+/// one instance per session and hands every execution its plan-time
+/// artifacts (PlanCascades, HoistCache, TestMemo) and a leased
+/// ExecContext; the executor itself holds no mutable state.
 class Executor {
 public:
-  Executor(ir::Program &Prog, usr::USRContext &Ctx)
-      : Prog(Prog), Ctx(Ctx), Sym(Ctx.symCtx()), OwnCompile(Ctx.symCtx()),
-        OwnUsrCompile(Ctx.symCtx(), OwnCompile) {}
-
-  /// Plain sequential interpretation of a statement list.
-  void runStmts(const std::vector<const ir::Stmt *> &Stmts, Memory &M,
-                sym::Bindings &B);
-
-  /// Sequential execution of one loop (the timing baseline).
-  void runSequential(const ir::DoLoop &Loop, Memory &M, sym::Bindings &B);
+  /// \p UseCompiledPreds routes cascade stages through compiled bytecode
+  /// (else the reference tree interpreter). \p UsrCompile routes exact
+  /// tests through the compiled interval-run engine; null selects the
+  /// reference interpreter (usr::evalUSREmpty). Both interpreter paths
+  /// are the A/B measurement and parity oracles of their compiled tiers.
+  Executor(const sym::Context &Sym, bool UseCompiledPreds,
+           USRCompileCache *UsrCompile)
+      : Sym(Sym), UseCompiledPreds(UseCompiledPreds), UsrCompile(UsrCompile) {
+  }
 
   /// Hybrid execution under a plan: predicate cascades, technique
   /// selection, exact-test / TLS fallback, parallel interpretation.
-  /// \p Pre, \p Ctx and \p UsrCompile are the session-provided plan-time
-  /// and per-execution artifacts: when present, cascade stage vectors are
-  /// neither rebuilt nor re-sorted per execution, predicate and USR
-  /// frames come pooled from \p Ctx, and exact tests run the
-  /// session-cached compiled USRs (a standalone executor compiles lazily
-  /// through its own caches). With \p Pre and \p Ctx supplied this method
-  /// mutates no executor state, so concurrent calls are safe as long as
-  /// every caller brings its own Memory/Bindings/ExecContext (the
-  /// serving layer's intra-shard concurrency contract).
+  /// \p Pre is \p Plan's plan-time compiled cascades (stage vectors
+  /// neither rebuilt nor re-sorted per execution); predicate and USR
+  /// frames come pooled from \p Ctx, and \p Ctx's token cancels the
+  /// execution. \p Hoist memoizes exact tests across executions. Mutates
+  /// no executor state, so concurrent calls are safe as long as every
+  /// caller brings its own Memory/Bindings/ExecContext (the serving
+  /// layer's intra-shard concurrency contract).
   /// \p Memo (the prepared loop's TestMemo) hoists the whole test phase
   /// across executions: a hit skips CIV-COMP, every cascade, the exact
   /// test and BOUNDS-COMP; a miss runs them and publishes the verdict.
@@ -331,77 +329,40 @@ public:
   /// Throws support::OutOfBoundsError when the loop body accesses an
   /// array out of bounds (detected after the workers join; no write lands
   /// outside an array, Memory is otherwise unspecified).
-  ExecStats runPlanned(const analysis::LoopPlan &Plan, Memory &M,
-                       sym::Bindings &B, ThreadPool &Pool,
-                       HoistCache *Hoist = nullptr,
-                       const PlanCascades *Pre = nullptr,
-                       ExecContext *Ctx = nullptr,
-                       USRCompileCache *UsrCompile = nullptr,
-                       TestMemo *Memo = nullptr);
-
-  /// CIV-COMP: precomputes civ@pre / join pseudo-arrays into \p B by a
-  /// sequential slice of the loop (only control flow and CIV updates).
-  void runCivSlice(const ir::DoLoop &Loop, const summary::CivPlan &Plan,
-                   Memory &M, sym::Bindings &B);
-
-  /// BOUNDS-COMP: evaluates the min/max touched offsets of \p S in
-  /// parallel (Fig. 7a). Returns false on evaluation failure.
-  bool computeBounds(const usr::USR *S, sym::Bindings &B, ThreadPool &Pool,
-                     int64_t &Lo, int64_t &Hi);
-
-  /// Switches cascade evaluation between the compiled bytecode evaluator
-  /// (default) and the reference tree interpreter. The interpreter path is
-  /// kept for A/B overhead measurement (bench/rtov_overhead.cpp) and as
-  /// the cross-check oracle in tests.
-  void setUseCompiledPredicates(bool Use) { UseCompiledPreds = Use; }
-  bool useCompiledPredicates() const { return UseCompiledPreds; }
-
-  /// Switches exact-test (HOIST-USR fallback) evaluation between the
-  /// compiled interval-run engine (default) and the reference
-  /// interpreter (usr::evalUSREmpty) — the A/B measurement and parity
-  /// oracle for the compiled-USR layer.
-  void setUseCompiledUSRs(bool Use) { UseCompiledUSRs = Use; }
-  bool useCompiledUSRs() const { return UseCompiledUSRs; }
-
-  /// Number of distinct cascade-stage predicates compiled by this
-  /// executor's own lazy cache (standalone use; sessions compile through
-  /// their shared PredCompileCache instead).
-  size_t numCompiledPreds() const { return OwnCompile.size(); }
-  /// Same for independence USRs compiled by the executor's own cache.
-  size_t numCompiledUSRs() const { return OwnUsrCompile.size(); }
+  ExecStats runPlanned(const analysis::LoopPlan &Plan,
+                       const PlanCascades &Pre, Memory &M, sym::Bindings &B,
+                       ThreadPool &Pool, ExecContext &Ctx, HoistCache &Hoist,
+                       TestMemo &Memo) const;
 
 private:
   /// The test phase of runPlanned: CIV-COMP, the per-array cascades with
   /// their exact-test fallbacks, BOUNDS-COMP. Fills \p Verdict and the
   /// timing and evaluation counters of \p Stats; returns false when a
   /// fired cancellation token aborted it (Verdict is then meaningless).
-  bool runTests(const analysis::LoopPlan &Plan, Memory &M, sym::Bindings &B,
-                ThreadPool &Pool, HoistCache *Hoist, const PlanCascades *Pre,
-                ExecContext *Ctx, USRCompileCache *UsrCompile,
-                ExecStats &Stats, TestVerdict &Verdict);
+  bool runTests(const analysis::LoopPlan &Plan, const PlanCascades &Pre,
+                Memory &M, sym::Bindings &B, ThreadPool &Pool,
+                ExecContext &Ctx, HoistCache &Hoist, ExecStats &Stats,
+                TestVerdict &Verdict) const;
 
   bool runSpeculative(const analysis::LoopPlan &Plan, Memory &M,
-                      sym::Bindings &B, ThreadPool &Pool, ExecStats &Stats);
+                      sym::Bindings &B, ThreadPool &Pool,
+                      ExecStats &Stats) const;
 
-  /// Evaluates a cascade cheapest-first (by compiled cost estimate) and
-  /// returns the stage depth used (-1 static, -2 all failed). O(N)+
-  /// stages run through the chunked parallel and-reduction. \p Pre is the
-  /// plan-time compiled cascade when the caller has one.
-  /// \p Cancel adds a poll before every stage: a fired token aborts the
-  /// cascade and returns -3 (no stage answer — distinct from -2 "all
-  /// stages failed", which routes to fallbacks).
-  int runCascade(const analysis::TestCascade &C, const CompiledCascade *Pre,
+  /// Evaluates a cascade cheapest-first (\p Pre's plan-time cost order)
+  /// and returns the stage depth used (-1 static, -2 all failed). O(N)+
+  /// stages run through the chunked parallel and-reduction on pooled
+  /// frames from \p Frames. The interpreter path walks \p C in cascade
+  /// order instead. \p Cancel adds a poll before every stage: a fired
+  /// token aborts the cascade and returns -3 (no stage answer — distinct
+  /// from -2 "all stages failed", which routes to fallbacks).
+  int runCascade(const analysis::TestCascade &C, const CompiledCascade &Pre,
                  sym::Bindings &B, ThreadPool &Pool, ExecStats &Stats,
-                 FramePool *Frames, const support::CancelToken *Cancel);
+                 FramePool &Frames, const support::CancelToken *Cancel) const;
 
-  ir::Program &Prog;
-  usr::USRContext &Ctx;
-  sym::Context &Sym;
-  /// Lazy compile-once caches for standalone (non-session) use.
-  PredCompileCache OwnCompile;
-  USRCompileCache OwnUsrCompile;
-  bool UseCompiledPreds = true;
-  bool UseCompiledUSRs = true;
+  const sym::Context &Sym;
+  const bool UseCompiledPreds;
+  /// Null: exact tests run on the reference interpreter.
+  USRCompileCache *const UsrCompile;
 };
 
 } // namespace rt

@@ -70,11 +70,9 @@ struct PlanRef {
 
 Session::Session(ir::Program &Prog, usr::USRContext &Ctx, SessionOptions O)
     : Prog(Prog), Ctx(Ctx), Opts(std::move(O)), Pool(Opts.Threads),
-      Exec(Prog, Ctx), Compile(Ctx.symCtx()),
-      UsrCompile(Ctx.symCtx(), Compile) {
-  Exec.setUseCompiledPredicates(Opts.UseCompiledPredicates);
-  Exec.setUseCompiledUSRs(Opts.UseCompiledUSRs);
-}
+      Compile(Ctx.symCtx()), UsrCompile(Ctx.symCtx(), Compile),
+      Exec(Ctx.symCtx(), Opts.UseCompiledPredicates,
+           Opts.UseCompiledUSRs ? &UsrCompile : nullptr) {}
 
 Session::~Session() = default;
 
@@ -186,10 +184,8 @@ rt::ExecStats Session::execute(PreparedLoop &PL, rt::Memory &M,
   PlanRef Ref(PL);
   ContextLease Ctx(*this);
   Ctx.get().Cancel = Cancel;
-  return Exec.runPlanned(PL.Plan, M, B, Pool, &Hoist, &PL.Cascades,
-                         &Ctx.get(),
-                         Opts.UseCompiledUSRs ? &UsrCompile : nullptr,
-                         &PL.Memo);
+  return Exec.runPlanned(PL.Plan, PL.Cascades, M, B, Pool, Ctx.get(), Hoist,
+                         PL.Memo);
 }
 
 rt::ExecStats Session::run(const ir::DoLoop &Loop, rt::Memory &M,
@@ -235,17 +231,12 @@ std::vector<rt::ExecStats> Session::runBatch(
 
 void Session::runSequential(const ir::DoLoop &Loop, rt::Memory &M,
                             sym::Bindings &B) {
-  Exec.runSequential(Loop, M, B);
-}
-
-void Session::runStmts(const std::vector<const ir::Stmt *> &Stmts,
-                       rt::Memory &M, sym::Bindings &B) {
-  Exec.runStmts(Stmts, M, B);
+  rt::interpSequential(Loop, M, B);
 }
 
 bool Session::computeBounds(const usr::USR *S, sym::Bindings &B, int64_t &Lo,
                             int64_t &Hi) {
-  return Exec.computeBounds(S, B, Pool, Lo, Hi);
+  return rt::interpBounds(S, B, Pool, Lo, Hi);
 }
 
 size_t Session::savePlans(std::ostream &Out) {

@@ -216,10 +216,6 @@ public:
   void runSequential(const ir::DoLoop &Loop, rt::Memory &M,
                      sym::Bindings &B);
 
-  /// Plain sequential interpretation of a statement list.
-  void runStmts(const std::vector<const ir::Stmt *> &Stmts, rt::Memory &M,
-                sym::Bindings &B);
-
   /// BOUNDS-COMP against the session pool (Fig. 7a).
   bool computeBounds(const usr::USR *S, sym::Bindings &B, int64_t &Lo,
                      int64_t &Hi);
@@ -262,15 +258,9 @@ public:
     return CG;
   }
 
-  /// The session-owned worker pool (sized by SessionOptions::Threads).
-  ThreadPool &pool() { return Pool; }
-  /// The governor executing plans for this session.
-  rt::Executor &executor() { return Exec; }
   /// The HOIST-USR exact-test memo cache (collision-verified, internally
   /// synchronized — shared by all concurrent executions).
   rt::HoistCache &hoistCache() { return Hoist; }
-  /// The session-wide compiled-USR cache (warmed at plan time).
-  rt::USRCompileCache &usrCompileCache() { return UsrCompile; }
   /// The options the session was constructed with.
   const SessionOptions &options() const { return Opts; }
   /// Number of loops with a cached (current, not retired) plan.
@@ -312,12 +302,14 @@ private:
   usr::USRContext &Ctx;
   SessionOptions Opts;
   ThreadPool Pool;
-  rt::Executor Exec;
   rt::PredCompileCache Compile;
   rt::HoistCache Hoist;
   /// Compiled independence USRs (exact-test fallbacks), warmed at plan
   /// time for hoistable plans and shared across executions.
   rt::USRCompileCache UsrCompile;
+  /// The governor; its tier choices come from Opts. Declared after the
+  /// caches it points into.
+  const rt::Executor Exec;
   std::unordered_map<const ir::DoLoop *, std::unique_ptr<PreparedLoop>>
       Plans;
   /// Re-prepared / invalidated plans kept alive for in-flight executions

@@ -163,8 +163,13 @@ std::optional<PointSet> evalImpl(const USR *S, sym::Bindings &B, size_t Cap,
         break;
       }
     }
+    // Restore the caller's binding exactly (erasing when the variable was
+    // unbound): a leaked last-iteration value would change the caller's
+    // bindings, and with them every key built from those bindings.
     if (Saved)
       B.setScalar(R->getVar(), *Saved);
+    else
+      B.clearScalar(R->getVar());
     if (!Ok)
       return std::nullopt;
     return Acc.take(Cap);
@@ -255,8 +260,13 @@ std::optional<bool> emptyImpl(const USR *S, sym::Bindings &B, size_t Cap,
       if (!Result || !*Result)
         break;
     }
+    // Restore the caller's binding exactly (erasing when the variable was
+    // unbound): a leaked last-iteration value would change the caller's
+    // bindings, and with them every key built from those bindings.
     if (Saved)
       B.setScalar(R->getVar(), *Saved);
+    else
+      B.clearScalar(R->getVar());
     return Result;
   }
   }

@@ -208,13 +208,15 @@ TEST_F(PredCompileTest, ParallelMatchesSerialOnLargeRange) {
 
   auto CP = CompiledPred::compile(Mono, Sym);
   ThreadPool Pool(4);
-  EXPECT_EQ(CP->evalParallel(B, Pool), std::optional<bool>(true));
+  CompiledPred::PooledFrame PF;
+  EXPECT_EQ(CP->evalParallelPooled(PF, B, Pool), std::optional<bool>(true));
 
   // Violation near the end: still false, found by the owning chunk.
   A.Vals[N - 2] = -1000000;
   B.setArray(IB, A);
   auto CP2 = CompiledPred::compile(Mono, Sym);
-  EXPECT_EQ(CP2->evalParallel(B, Pool), std::optional<bool>(false));
+  EXPECT_EQ(CP2->evalParallelPooled(PF, B, Pool),
+            std::optional<bool>(false));
   EXPECT_EQ(tryEvalPred(Mono, B), std::optional<bool>(false));
 }
 
@@ -232,9 +234,11 @@ TEST_F(PredCompileTest, ParallelPreservesEarliestDecision) {
 
   auto CP = CompiledPred::compile(L, Sym);
   ThreadPool Pool(4);
+  CompiledPred::PooledFrame PF;
   EXPECT_EQ(tryEvalPred(L, B), std::nullopt);
-  EXPECT_EQ(CP->evalParallel(B, Pool, nullptr, /*MinParallelIters=*/1),
-            std::nullopt);
+  EXPECT_EQ(
+      CP->evalParallelPooled(PF, B, Pool, nullptr, /*MinParallelIters=*/1),
+      std::nullopt);
 
   // And the mirror image: the false comes first, so false wins.
   const Pred *L2 = P.loopAll(
@@ -243,8 +247,9 @@ TEST_F(PredCompileTest, ParallelPreservesEarliestDecision) {
              P.ne(Sym.symRef(I), c(100))));
   auto CP2 = CompiledPred::compile(L2, Sym);
   EXPECT_EQ(tryEvalPred(L2, B), std::optional<bool>(false));
-  EXPECT_EQ(CP2->evalParallel(B, Pool, nullptr, /*MinParallelIters=*/1),
-            std::optional<bool>(false));
+  EXPECT_EQ(
+      CP2->evalParallelPooled(PF, B, Pool, nullptr, /*MinParallelIters=*/1),
+      std::optional<bool>(false));
 }
 
 TEST_F(PredCompileTest, ParallelUnknownBoundsMatchInterpreter) {
@@ -252,11 +257,12 @@ TEST_F(PredCompileTest, ParallelUnknownBoundsMatchInterpreter) {
   const Pred *L = P.loopAll(I, c(1), s("unbound_n"), P.ge0(Sym.symRef(I)));
   auto CP = CompiledPred::compile(L, Sym);
   ThreadPool Pool(4);
-  EXPECT_EQ(CP->evalParallel(B, Pool), std::nullopt);
+  CompiledPred::PooledFrame PF;
+  EXPECT_EQ(CP->evalParallelPooled(PF, B, Pool), std::nullopt);
   EXPECT_EQ(tryEvalPred(L, B), std::nullopt);
   // Empty range is vacuously true.
   bind("unbound_n", -5);
-  EXPECT_EQ(CP->evalParallel(B, Pool), std::optional<bool>(true));
+  EXPECT_EQ(CP->evalParallelPooled(PF, B, Pool), std::optional<bool>(true));
 }
 
 //===----------------------------------------------------------------------===//
@@ -381,13 +387,15 @@ TEST(PredCompilePropertyTest, CompiledAgreesWithInterpreter) {
   Rng R(20260726);
   RandomPredGen Gen(Sym, P, R);
   ThreadPool Pool(3);
+  CompiledPred::PooledFrame PF; // Re-bound by every case.
   for (int Case = 0; Case < 600; ++Case) {
     const Pred *Pr = Gen.genPred(3, 2);
     sym::Bindings B = Gen.genBindings();
     auto Ref = tryEvalPred(Pr, B);
     auto CP = CompiledPred::compile(Pr, Sym);
     auto Serial = CP->eval(B);
-    auto Parallel = CP->evalParallel(B, Pool, nullptr, /*MinParallelIters=*/1);
+    auto Parallel =
+        CP->evalParallelPooled(PF, B, Pool, nullptr, /*MinParallelIters=*/1);
     ASSERT_EQ(Serial, Ref) << "case " << Case << ": " << Pr->toString(Sym);
     ASSERT_EQ(Parallel, Ref) << "case " << Case << " (parallel): "
                              << Pr->toString(Sym);

@@ -5,7 +5,7 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "rt/Executor.h"
+#include "rt/Interp.h"
 
 #include "session/Session.h"
 #include "suite/Suite.h"
@@ -44,11 +44,17 @@ protected:
     return L;
   }
 
-  analysis::LoopPlan planFor(DoLoop *L, sym::Bindings *Probe = nullptr) {
+  /// A 4-thread session (the governor's only caller) with \p L prepared,
+  /// probe-analyzed against \p Probe when one is given.
+  std::unique_ptr<session::Session> sessionFor(DoLoop *L,
+                                               sym::Bindings *Probe = nullptr) {
+    session::SessionOptions SO;
+    SO.Threads = 4;
+    auto S = std::make_unique<session::Session>(Prog, U, SO);
     analysis::AnalyzerOptions Opts;
     Opts.Probe = Probe;
-    analysis::HybridAnalyzer A(U, Prog, Opts);
-    return A.analyze(*L);
+    S->prepare(*L, Opts);
+    return S;
   }
 };
 
@@ -87,8 +93,7 @@ TEST_F(RtTest, SequentialExecutionWritesExpectedValues) {
   auto &YV = M.alloc(Y, 8);
   for (int I = 0; I < 8; ++I)
     YV[I] = I;
-  Executor E(Prog, U);
-  E.runSequential(*L, M, B);
+  interpSequential(*L, M, B);
   // X[i] = 1.0 + 0.5 * Y[i].
   for (int I = 0; I < 8; ++I)
     EXPECT_DOUBLE_EQ((*M.find(X))[I], 1.0 + 0.5 * I);
@@ -97,9 +102,11 @@ TEST_F(RtTest, SequentialExecutionWritesExpectedValues) {
 TEST_F(RtTest, PlannedParallelMatchesSequentialOnStaticPar) {
   sym::SymbolId X = Sym.symbol("X", 0, true);
   sym::SymbolId Y = Sym.symbol("Y", 0, true);
+  Main->declareArray(ArrayDecl{X, nullptr, false});
+  Main->declareArray(ArrayDecl{Y, nullptr, false});
   DoLoop *L = parLoop(X, Y);
-  analysis::LoopPlan Plan = planFor(L);
-  EXPECT_EQ(Plan.Class, analysis::LoopClass::StaticPar);
+  auto Sess = sessionFor(L);
+  EXPECT_EQ(Sess->prepare(*L).Plan.Class, analysis::LoopClass::StaticPar);
 
   Memory M;
   sym::Bindings B;
@@ -108,9 +115,7 @@ TEST_F(RtTest, PlannedParallelMatchesSequentialOnStaticPar) {
   auto &YV = M.alloc(Y, 1000);
   for (int I = 0; I < 1000; ++I)
     YV[I] = I * 0.25;
-  ThreadPool Pool(4);
-  Executor E(Prog, U);
-  ExecStats S = E.runPlanned(Plan, M, B, Pool);
+  ExecStats S = Sess->run(*L, M, B);
   EXPECT_TRUE(S.RanParallel);
   EXPECT_FALSE(S.UsedTLS);
   for (int I = 0; I < 1000; ++I)
@@ -156,11 +161,9 @@ TEST_F(RtTest, SpeculationDetectsGenuineConflicts) {
     sym::Bindings SeqB, ParB;
     Setup(SeqM, SeqB, Conflict);
     Setup(ParM, ParB, Conflict);
-    analysis::LoopPlan Plan = planFor(L, &ParB);
-    Executor E(Prog, U);
-    E.runSequential(*L, SeqM, SeqB);
-    ThreadPool Pool(4);
-    ExecStats S = E.runPlanned(Plan, ParM, ParB, Pool);
+    auto Sess = sessionFor(L, &ParB);
+    Sess->runSequential(*L, SeqM, SeqB);
+    ExecStats S = Sess->run(*L, ParM, ParB);
     SCOPED_TRACE(Conflict ? "conflicting" : "clean");
     if (Conflict) {
       // Misspeculation must not corrupt state: results match sequential.
@@ -224,9 +227,8 @@ TEST_F(RtTest, ComputeBoundsMatchesBruteForce) {
   }
   B.setArray(IB, A);
   ThreadPool Pool(4);
-  Executor E(Prog, U);
   int64_t Lo = 0, Hi = -1;
-  ASSERT_TRUE(E.computeBounds(S, B, Pool, Lo, Hi));
+  ASSERT_TRUE(interpBounds(S, B, Pool, Lo, Hi));
   EXPECT_EQ(Lo, Min);
   EXPECT_EQ(Hi, Max);
 }
@@ -260,8 +262,7 @@ TEST_F(RtTest, CivSliceComputesPrefixValues) {
   NV.Lo = 1;
   NV.Vals = {3, 1, 0, 5};
   B.setArray(NSP, NV);
-  Executor E(Prog, U);
-  E.runCivSlice(*L, Plan, M, B);
+  interpCivSlice(*L, Plan, M, B);
   const sym::ArrayBinding *Pre = B.array(Plan.Civs[0].EntryArr);
   ASSERT_NE(Pre, nullptr);
   // Prefix sums: 0, 3, 4, 4, 9 (the last entry is the final value).
@@ -295,11 +296,9 @@ TEST_F(RtTest, ReductionPrivateCopiesMatchDirect) {
   sym::Bindings SeqB, ParB;
   Setup(SeqM, SeqB);
   Setup(ParM, ParB);
-  analysis::LoopPlan Plan = planFor(L, &ParB);
-  Executor E(Prog, U);
-  E.runSequential(*L, SeqM, SeqB);
-  ThreadPool Pool(4);
-  ExecStats S = E.runPlanned(Plan, ParM, ParB, Pool);
+  auto Sess = sessionFor(L, &ParB);
+  Sess->runSequential(*L, SeqM, SeqB);
+  ExecStats S = Sess->run(*L, ParM, ParB);
   EXPECT_TRUE(S.RanParallel);
   for (int K = 0; K < 8; ++K)
     EXPECT_NEAR((*SeqM.find(A))[K], (*ParM.find(A))[K], 1e-9);
@@ -327,11 +326,10 @@ TEST_F(RtTest, CallSiteAliasingResolvesNestedOffsets) {
   Memory M;
   sym::Bindings B;
   M.alloc(X, 32);
-  Executor E(Prog, U);
   std::vector<const Stmt *> Stmts{Prog.make<CallStmt>(
       Work, std::vector<CallStmt::ArrayArg>{{F1, X, c(10)}},
       std::vector<CallStmt::ScalarArg>{})};
-  E.runStmts(Stmts, M, B);
+  interpStmts(Stmts, M, B);
   for (int K = 0; K < 32; ++K) {
     if (K >= 15 && K < 19)
       EXPECT_NE((*M.find(X))[K], 0.0) << K;
@@ -346,22 +344,22 @@ TEST_F(RtTest, OutOfBoundsAccessRaisesTypedErrorSequentialAndParallel) {
   // never a heap overflow in any build.
   sym::SymbolId X = Sym.symbol("X", 0, true);
   sym::SymbolId Y = Sym.symbol("Y", 0, true);
+  Main->declareArray(ArrayDecl{X, nullptr, false});
+  Main->declareArray(ArrayDecl{Y, nullptr, false});
   DoLoop *L = parLoop(X, Y);
-  analysis::LoopPlan Plan = planFor(L);
-  ASSERT_EQ(Plan.Class, analysis::LoopClass::StaticPar);
+  auto Sess = sessionFor(L);
+  ASSERT_EQ(Sess->prepare(*L).Plan.Class, analysis::LoopClass::StaticPar);
   for (bool Parallel : {false, true}) {
     Memory M;
     sym::Bindings B;
     B.setScalar(Sym.symbol("N"), 64);
     M.alloc(X, 63);
     M.alloc(Y, 64);
-    ThreadPool Pool(4);
-    Executor E(Prog, U);
     try {
       if (Parallel)
-        E.runPlanned(Plan, M, B, Pool);
+        Sess->run(*L, M, B);
       else
-        E.runSequential(*L, M, B);
+        interpSequential(*L, M, B);
       ADD_FAILURE() << "no error, parallel=" << Parallel;
     } catch (const support::OutOfBoundsError &Err) {
       EXPECT_EQ(Err.arrayId(), X);

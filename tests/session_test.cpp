@@ -6,8 +6,8 @@
 // The analyze-once / execute-many contract: Session::run against a cached
 // plan (pre-sorted compiled cascades + pooled frames, 2nd..Nth execution)
 // must produce bit-identical Memory/Bindings and the same ExecStats
-// classification as building a fresh HybridAnalyzer + Executor for every
-// single execution.
+// classification as a fresh Session (fresh analysis, fresh caches, a
+// runtime-test memo miss) for every single execution.
 //
 //===----------------------------------------------------------------------===//
 
@@ -53,6 +53,20 @@ void expectStatsEq(const rt::ExecStats &S, const rt::ExecStats &R,
   EXPECT_EQ(S.CascadeDepthUsed, R.CascadeDepthUsed) << What;
 }
 
+/// The oracle: one execution of \p L through a fresh Session — fresh
+/// analysis under \p Opts, fresh compile and HOIST-USR caches, and a
+/// runtime-test memo miss.
+rt::ExecStats freshSessionRun(suite::Benchmark &B, const ir::DoLoop &L,
+                              const analysis::AnalyzerOptions &Opts,
+                              unsigned Threads, rt::Memory &M,
+                              sym::Bindings &Bd) {
+  session::SessionOptions SO;
+  SO.Threads = Threads;
+  session::Session S(B.prog(), B.usr(), SO);
+  S.prepare(L, Opts);
+  return S.run(L, M, Bd);
+}
+
 /// The randomized multi-loop program: a symbolically-strided write loop
 /// (O(1) predicate), a monotone block-write loop (O(N) predicate over an
 /// index array), an irregular subscripted-subscript loop (hoistable exact
@@ -89,6 +103,12 @@ struct SessionFixture : ::testing::Test {
     analysis::AnalyzerOptions O;
     O.HoistableContext = (L == Irregular);
     return O;
+  }
+
+  /// freshSessionRun under this fixture's per-loop options.
+  rt::ExecStats reference(const ir::DoLoop *L, unsigned Threads,
+                          rt::Memory &M, sym::Bindings &Bd) {
+    return freshSessionRun(B, *L, optsFor(L), Threads, M, Bd);
   }
 
   /// Applies one randomized dataset mutation identically to both worlds.
@@ -158,7 +178,7 @@ struct SessionFixture : ::testing::Test {
   }
 };
 
-TEST_F(SessionFixture, CachedPlansMatchFreshAnalyzerExecutorPerExecution) {
+TEST_F(SessionFixture, CachedPlansMatchFreshSessionPerExecution) {
   const unsigned Threads = 2;
   session::SessionOptions SO;
   SO.Threads = Threads;
@@ -166,7 +186,6 @@ TEST_F(SessionFixture, CachedPlansMatchFreshAnalyzerExecutorPerExecution) {
   for (ir::DoLoop *L : {Strided, Blocks, Irregular, Reduce})
     S.prepare(*L, optsFor(L));
 
-  ThreadPool RefPool(Threads);
   rt::Memory MS, MR;
   sym::Bindings BS, BR;
   Rng R(0xC0FFEE);
@@ -176,12 +195,8 @@ TEST_F(SessionFixture, CachedPlansMatchFreshAnalyzerExecutorPerExecution) {
       rt::ExecStats St = S.run(*L, MS, BS);
 
       // Reference: every execution re-analyzes and re-executes from
-      // scratch (fresh analyzer, fresh executor, fresh HOIST cache).
-      analysis::HybridAnalyzer A(B.usr(), B.prog(), optsFor(L));
-      analysis::LoopPlan Plan = A.analyze(*L);
-      rt::Executor Ex(B.prog(), B.usr());
-      rt::HoistCache Hoist;
-      rt::ExecStats Rs = Ex.runPlanned(Plan, MR, BR, RefPool, &Hoist);
+      // scratch in a fresh session.
+      rt::ExecStats Rs = reference(L, Threads, MR, BR);
 
       expectStatsEq(St, Rs, L->getLabel().c_str());
       expectMemoryEq(MS, MR, L->getLabel().c_str());
@@ -206,27 +221,18 @@ TEST_F(SessionFixture, SteadyStateHitsTestMemoAndStaysExact) {
 
   // Execution 1 runs the tests (binding every stage frame); 2..N with
   // untouched bindings reuse its verdict without evaluating anything and
-  // must still match a fresh executor bit-for-bit.
+  // must still match a fresh session bit-for-bit.
   rt::ExecStats First = S.run(*Blocks, MS, BS);
   EXPECT_GT(First.FrameBinds, 0u);
   EXPECT_EQ(First.TestMemoMisses, 1u);
-  ThreadPool RefPool(1);
-  {
-    analysis::HybridAnalyzer A(B.usr(), B.prog(), optsFor(Blocks));
-    analysis::LoopPlan Plan = A.analyze(*Blocks);
-    rt::Executor Ex(B.prog(), B.usr());
-    Ex.runPlanned(Plan, MR, BR, RefPool);
-  }
+  reference(Blocks, 1, MR, BR);
   for (int E = 0; E < 5; ++E) {
     rt::ExecStats St = S.run(*Blocks, MS, BS);
     EXPECT_EQ(St.TestMemoHits, 1u);
     EXPECT_EQ(St.FrameBinds, 0u);
     EXPECT_EQ(St.CompiledPredEvals + St.InterpPredEvals, 0u);
     expectStatsEq(St, First, "steady state");
-    analysis::HybridAnalyzer A(B.usr(), B.prog(), optsFor(Blocks));
-    analysis::LoopPlan Plan = A.analyze(*Blocks);
-    rt::Executor Ex(B.prog(), B.usr());
-    Ex.runPlanned(Plan, MR, BR, RefPool);
+    reference(Blocks, 1, MR, BR);
     expectMemoryEq(MS, MR, "steady state");
   }
 
@@ -261,15 +267,11 @@ TEST_F(SessionFixture, MultiThreadedCascadeThroughSessionMatchesReference) {
   BS.setArray(IB, A);
   BR.setArray(IB, A);
 
-  ThreadPool RefPool(Threads);
   for (int E = 0; E < 3; ++E) {
     rt::ExecStats St = S.run(*Blocks, MS, BS);
     EXPECT_TRUE(St.RanParallel);
     EXPECT_FALSE(St.UsedTLS);
-    analysis::HybridAnalyzer An(B.usr(), B.prog(), optsFor(Blocks));
-    analysis::LoopPlan Plan = An.analyze(*Blocks);
-    rt::Executor Ex(B.prog(), B.usr());
-    rt::ExecStats Rs = Ex.runPlanned(Plan, MR, BR, RefPool);
+    rt::ExecStats Rs = reference(Blocks, Threads, MR, BR);
     expectStatsEq(St, Rs, "parallel blocks");
     expectMemoryEq(MS, MR, "parallel blocks");
   }
@@ -311,7 +313,7 @@ TEST_F(SessionFixture, RunBatchRebindingBetweenElementsStaysExact) {
   // The batch error path beyond the pinned happy path: a caller that
   // rebinds data between batch elements (the per-request refresh shape)
   // must see the new data in the pooled frames and stay bit-identical to
-  // a fresh analyzer+executor per element.
+  // a fresh session per element.
   session::SessionOptions SO;
   SO.Threads = 2;
   session::Session S(B.prog(), B.usr(), SO);
@@ -337,13 +339,9 @@ TEST_F(SessionFixture, RunBatchRebindingBetweenElementsStaysExact) {
       [&](unsigned E, rt::Memory &, sym::Bindings &Bd) { rebind(E, Bd); });
   ASSERT_EQ(Stats.size(), 6u);
 
-  ThreadPool RefPool(2);
   for (unsigned E = 0; E < 6; ++E) {
     rebind(E, BR);
-    analysis::HybridAnalyzer A(B.usr(), B.prog(), optsFor(Blocks));
-    analysis::LoopPlan Plan = A.analyze(*Blocks);
-    rt::Executor Ex(B.prog(), B.usr());
-    rt::ExecStats Rs = Ex.runPlanned(Plan, MR, BR, RefPool);
+    rt::ExecStats Rs = reference(Blocks, 2, MR, BR);
     expectStatsEq(Stats[E], Rs, "rebinding batch");
     // Every element re-bound its frames: no element may serve stale
     // frame contents.
@@ -373,13 +371,8 @@ TEST_F(SessionFixture, RunBatchReportsEveryExecution) {
   for (size_t E = 1; E < Stats.size(); ++E)
     EXPECT_EQ(Stats[E].TestMemoHits, 1u);
 
-  ThreadPool RefPool(2);
-  for (int E = 0; E < 5; ++E) {
-    analysis::HybridAnalyzer A(B.usr(), B.prog(), optsFor(Strided));
-    analysis::LoopPlan Plan = A.analyze(*Strided);
-    rt::Executor Ex(B.prog(), B.usr());
-    Ex.runPlanned(Plan, MR, BR, RefPool);
-  }
+  for (int E = 0; E < 5; ++E)
+    reference(Strided, 2, MR, BR);
   expectMemoryEq(MS, MR, "batch");
 }
 
@@ -508,11 +501,7 @@ TEST_F(SessionFixture, RePrepareRetiresOldPlanUntilNextExclusivePhase) {
   mutate(R, BS, BR, MS, MR, true);
   std::optional<rt::ExecStats> St = S.runPrepared(*Strided, MS, BS);
   ASSERT_TRUE(St.has_value());
-  ThreadPool RefPool(2);
-  analysis::HybridAnalyzer A(B.usr(), B.prog(), optsFor(Strided));
-  analysis::LoopPlan Plan = A.analyze(*Strided);
-  rt::Executor Ex(B.prog(), B.usr());
-  rt::ExecStats Rs = Ex.runPlanned(Plan, MR, BR, RefPool);
+  rt::ExecStats Rs = reference(Strided, 2, MR, BR);
   expectStatsEq(*St, Rs, "post-retire");
   expectMemoryEq(MS, MR, "post-retire");
 }
@@ -520,8 +509,8 @@ TEST_F(SessionFixture, RePrepareRetiresOldPlanUntilNextExclusivePhase) {
 TEST(SessionHoistCacheTest, VerifiedHitsStayCorrectAcrossDatasets) {
   // The HOIST-USR cache must serve hits only for identical relevant
   // inputs (verified, collision-safe) and re-evaluate otherwise:
-  // alternating datasets through one session must match a fresh analysis
-  // + executor every time.
+  // alternating datasets through one session must match a fresh session
+  // every time.
   suite::Benchmark B;
   suite::BenchBuilder BB(B);
   const int64_t N = 64;
@@ -550,7 +539,6 @@ TEST(SessionHoistCacheTest, VerifiedHitsStayCorrectAcrossDatasets) {
     Bd.setArray(JDX, AJ);
   };
 
-  ThreadPool RefPool(2);
   rt::Memory MS, MR;
   sym::Bindings BS, BR;
   for (rt::Memory *M : {&MS, &MR})
@@ -561,11 +549,7 @@ TEST(SessionHoistCacheTest, VerifiedHitsStayCorrectAcrossDatasets) {
     dataset(E % 2, BR);
     rt::ExecStats St = S.run(*L, MS, BS);
     EXPECT_TRUE(St.UsedExactTest);
-    analysis::HybridAnalyzer A(B.usr(), B.prog(), Opts);
-    analysis::LoopPlan Plan = A.analyze(*L);
-    rt::Executor Ex(B.prog(), B.usr());
-    rt::HoistCache Fresh;
-    rt::ExecStats Rs = Ex.runPlanned(Plan, MR, BR, RefPool, &Fresh);
+    rt::ExecStats Rs = freshSessionRun(B, *L, Opts, 2, MR, BR);
     expectStatsEq(St, Rs, "hoist");
     expectMemoryEq(MS, MR, "hoist");
     if (E == 1)

@@ -108,8 +108,7 @@ TEST_P(SuiteLoopTest, ParallelExecutionMatchesSequential) {
   rt::Memory SeqM;
   sym::Bindings SeqB;
   C.B->Setup(SeqM, SeqB, 1);
-  rt::Executor SeqE(C.B->prog(), C.B->usr());
-  SeqE.runSequential(*C.LS->Loop, SeqM, SeqB);
+  rt::interpSequential(*C.LS->Loop, SeqM, SeqB);
 
   // Hybrid parallel execution under the plan.
   rt::Memory ParM;
@@ -118,12 +117,11 @@ TEST_P(SuiteLoopTest, ParallelExecutionMatchesSequential) {
   analysis::AnalyzerOptions Opts;
   Opts.Probe = &ParB;
   Opts.HoistableContext = C.LS->Hoistable;
-  analysis::HybridAnalyzer A(C.B->usr(), C.B->prog(), Opts);
-  analysis::LoopPlan Plan = A.analyze(*C.LS->Loop);
-  ThreadPool Pool(4);
-  rt::Executor ParE(C.B->prog(), C.B->usr());
-  rt::HoistCache Hoist;
-  rt::ExecStats Stats = ParE.runPlanned(Plan, ParM, ParB, Pool, &Hoist);
+  session::SessionOptions SO;
+  SO.Threads = 4;
+  session::Session S(C.B->prog(), C.B->usr(), SO);
+  const analysis::LoopPlan &Plan = S.prepare(*C.LS->Loop, Opts).Plan;
+  rt::ExecStats Stats = S.run(*C.LS->Loop, ParM, ParB);
   SCOPED_TRACE("class=" + Plan.classString() +
                " parallel=" + std::to_string(Stats.RanParallel) +
                " tls=" + std::to_string(Stats.UsedTLS));
@@ -155,8 +153,8 @@ TEST_P(SuiteLoopTest, ParallelExecutionMatchesSequential) {
 TEST_P(SuiteLoopTest, TestMemoHitMatchesFirstExecution) {
   // At the unit-test scale and at the paper-table scale: a session runs
   // the loop twice on identical fresh datasets (miss, then hit); the hit
-  // must match a first execution against a fresh memo and fresh caches
-  // (what a fresh session runs) in its decisions, CascadeDepthUsed, CIV
+  // must match the first execution of a fresh session (fresh analysis,
+  // fresh caches, a memo miss) in its decisions, CascadeDepthUsed, CIV
   // arrays and output memory, bit for bit.
   LoopCase C = theCase();
   for (int64_t Scale : {1, 8}) {
@@ -175,12 +173,9 @@ TEST_P(SuiteLoopTest, TestMemoHitMatchesFirstExecution) {
     rt::Memory MR;
     sym::Bindings BR;
     C.B->Setup(MR, BR, Scale);
-    rt::TestMemo RefMemo;
-    rt::HoistCache RefHoist;
-    rt::ExecContext RefCtx;
-    rt::ExecStats Ref = S.executor().runPlanned(
-        PL.Plan, MR, BR, S.pool(), &RefHoist, &PL.Cascades, &RefCtx,
-        &S.usrCompileCache(), &RefMemo);
+    session::Session RefS(C.B->prog(), C.B->usr(), SO);
+    const session::PreparedLoop &RefPL = RefS.prepare(*C.LS->Loop, Opts);
+    rt::ExecStats Ref = RefS.run(*C.LS->Loop, MR, BR);
 
     rt::ExecStats Runs[2];
     rt::Memory Ms[2];
@@ -200,7 +195,7 @@ TEST_P(SuiteLoopTest, TestMemoHitMatchesFirstExecution) {
     EXPECT_EQ(Runs[1].TestMemoMisses, 0u);
     if (UsesMemo) {
       std::shared_ptr<const rt::TestMemo::Entry> Got = PL.Memo.current();
-      std::shared_ptr<const rt::TestMemo::Entry> Want = RefMemo.current();
+      std::shared_ptr<const rt::TestMemo::Entry> Want = RefPL.Memo.current();
       ASSERT_NE(Got, nullptr);
       ASSERT_NE(Want, nullptr);
       EXPECT_EQ(Got->Verdict.AllOk, Want->Verdict.AllOk);

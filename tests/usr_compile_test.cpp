@@ -512,19 +512,16 @@ TEST_F(UsrCompileTest, StatsReportRunsAndAvoidedPoints) {
 }
 
 //===----------------------------------------------------------------------===//
-// USRCompileCache frameless-caller serialization (regression)
+// USRCompileCache concurrent frameless callers (regression)
 //===----------------------------------------------------------------------===//
 
-TEST_F(UsrCompileTest, FramelessConcurrentEmptinessSerializesOnFallback) {
-  // Regression for a guard gap surfaced by the thread-safety
-  // annotations: frameless USRCompileCache::emptiness() callers all
-  // share the cache entry's fallback evaluation frame (mutable bound
-  // slots and recurrence prefix caches). They used to touch it with no
-  // synchronization — a data race under concurrency, with the prefix
-  // cache of one dataset poisoning another's evaluation. The entry now
-  // carries a fallback mutex held for the whole frameless evaluation,
-  // so concurrent frameless callers serialize and stay exact. TSan (CI)
-  // pins the race half; the per-dataset answers pin the poisoning half.
+TEST_F(UsrCompileTest, FramelessConcurrentEmptinessStaysExact) {
+  // Concurrent USRCompileCache::emptiness() callers that bring no
+  // USRFramePool evaluate on their own thread's scratch frame (mutable
+  // bound slots and recurrence prefix caches), so no frame state is
+  // shared between them: no data race, and no dataset's prefix cache
+  // poisons another's evaluation. TSan (CI) pins the race half; the
+  // per-dataset answers pin the poisoning half.
   sym::SymbolId I = Sym.symbol("i", 1);
   sym::SymbolId IB = Sym.symbol("IB", 0, true);
   const int64_t N = 4096;
@@ -537,9 +534,8 @@ TEST_F(UsrCompileTest, FramelessConcurrentEmptinessSerializesOnFallback) {
   rt::USRCompileCache Cache(Sym, Preds);
 
   // Per-thread datasets with different answers: even threads see a hit
-  // (non-empty), odd threads never do (empty). Re-binding the same
-  // shared fallback frame between datasets is exactly the state the old
-  // code raced on.
+  // (non-empty), odd threads never do (empty). A frame shared between
+  // the threads would be re-bound between datasets mid-evaluation.
   constexpr int Threads = 8, Rounds = 25;
   auto MakeBindings = [&](bool Hit) {
     sym::Bindings B;
@@ -559,7 +555,7 @@ TEST_F(UsrCompileTest, FramelessConcurrentEmptinessSerializesOnFallback) {
       const bool Hit = (T % 2) == 0;
       sym::Bindings B = MakeBindings(Hit);
       for (int Rd = 0; Rd < Rounds; ++Rd) {
-        // Frameless: no USRFramePool argument — the fallback-frame path.
+        // Frameless: no USRFramePool argument — the scratch-frame path.
         auto E = Cache.emptiness(R, B);
         if (E != std::make_optional(!Hit))
           ++Wrong;
@@ -569,8 +565,8 @@ TEST_F(UsrCompileTest, FramelessConcurrentEmptinessSerializesOnFallback) {
     Th.join();
   EXPECT_EQ(Wrong.load(), 0);
 
-  // Mixed mode: framed callers must stay parallel (they never touch the
-  // fallback frame) while frameless callers serialize beside them.
+  // Mixed mode: framed callers on their pooled frames beside frameless
+  // callers on their scratch frames.
   std::atomic<int> WrongMixed{0};
   std::vector<std::thread> Ms;
   for (int T = 0; T < Threads; ++T)

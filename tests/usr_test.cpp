@@ -182,6 +182,34 @@ TEST_F(UsrTest, EvalRecurWithIndexArray) {
   EXPECT_EQ(evalPts(R, B), (std::vector<int64_t>{10, 11, 20, 21, 22}));
 }
 
+TEST_F(UsrTest, EvalRecurRestoresRecurrenceVariable) {
+  // Both evaluators restore the caller's binding of the recurrence
+  // variable: erased when it was unbound on entry, its old value
+  // otherwise. A leaked last-iteration value would change the caller's
+  // bindings (and every memo key built from them).
+  sym::SymbolId I = Sym.symbol("i", 1);
+  sym::SymbolId IB = Sym.symbol("IB", 0, true);
+  const USR *R = U.recur(I, c(1), s("N"),
+                         U.interval(Sym.arrayRef(IB, Sym.symRef(I)), c(2)));
+  sym::Bindings B;
+  B.setScalar(Sym.symbol("N"), 3);
+  sym::ArrayBinding A;
+  A.Lo = 1;
+  A.Vals = {10, 20, 21};
+  B.setArray(IB, A);
+
+  ASSERT_TRUE(evalUSR(R, B).has_value());
+  EXPECT_FALSE(B.scalar(I).has_value());
+  EXPECT_EQ(evalUSREmpty(R, B), std::optional<bool>(false));
+  EXPECT_FALSE(B.scalar(I).has_value());
+
+  B.setScalar(I, 7);
+  ASSERT_TRUE(evalUSR(R, B).has_value());
+  EXPECT_EQ(B.scalar(I), std::optional<int64_t>(7));
+  EXPECT_EQ(evalUSREmpty(R, B), std::optional<bool>(false));
+  EXPECT_EQ(B.scalar(I), std::optional<int64_t>(7));
+}
+
 TEST_F(UsrTest, EvalPartialRecurrenceTriangle) {
   // U_{k=1..i-1} {k} under i = 4 gives {1,2,3}.
   sym::SymbolId I = Sym.symbol("i", 1);

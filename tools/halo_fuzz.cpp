@@ -24,6 +24,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -160,7 +161,7 @@ int main(int argc, char **argv) {
     return replayEntry(*E, OO) ? 0 : 1;
   }
 
-  uint64_t Failures = 0, Rejected = 0, Demotions = 0;
+  uint64_t Failures = 0, Rejected = 0, Demotions = 0, WriteErrors = 0;
   for (uint64_t S = 0; S < D.Seeds; ++S) {
     fuzz::GenOptions GO;
     GO.Seed = D.SeedBase + S;
@@ -197,9 +198,19 @@ int main(int argc, char **argv) {
       E.Note = "found by halo_fuzz sweep; failure kind: " + Kind;
       std::string Path = D.CorpusOut + "/seed" +
                          std::to_string(GO.Seed) + "_" + Kind + ".repro";
+      std::error_code EC;
+      std::filesystem::create_directories(D.CorpusOut, EC);
       std::ofstream Out(Path);
       Out << fuzz::serializeEntry(E);
-      std::fprintf(stderr, "repro written: %s\n", Path.c_str());
+      Out.close();
+      if (EC || !Out) {
+        std::fprintf(stderr, "halo_fuzz: cannot write repro %s%s%s\n",
+                     Path.c_str(), EC ? ": " : "",
+                     EC ? EC.message().c_str() : "");
+        ++WriteErrors;
+      } else {
+        std::fprintf(stderr, "repro written: %s\n", Path.c_str());
+      }
     }
   }
 
@@ -210,6 +221,8 @@ int main(int argc, char **argv) {
               static_cast<unsigned long long>(Rejected),
               static_cast<unsigned long long>(Demotions),
               static_cast<unsigned long long>(Failures));
+  if (WriteErrors)
+    return 2; // A failure whose repro was lost must not read as reported.
   if (D.Hostile && Rejected != D.Seeds) {
     std::fprintf(stderr,
                  "halo_fuzz: %llu hostile cases were not rejected\n",
